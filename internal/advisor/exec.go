@@ -3,10 +3,8 @@ package advisor
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"knives/internal/cost"
-	"knives/internal/partition"
 	"knives/internal/replay"
 	"knives/internal/schema"
 )
@@ -30,19 +28,8 @@ type ExecSelection struct {
 // execKey identifies one cached execution: the replay key plus the
 // selection (the predicate changes plans, rows out, and per-query pricing).
 type execKey struct {
-	fp    Fingerprint
-	model string
-	rows  int64
-	seed  int64
-	sel   ExecSelection
-}
-
-// execEntry computes one execution at most once, exactly like the replay
-// cache's entry.
-type execEntry struct {
-	once   sync.Once
-	report *replay.OperatorReplay
-	err    error
+	replayKey
+	sel ExecSelection
 }
 
 // ExecTable answers one table's advise-materialize-execute chain under the
@@ -55,70 +42,38 @@ func (s *Service) ExecTable(tw schema.TableWorkload, opt ReplayOptions, sel *Exe
 // execTableAs is ExecTable under an explicit pricing model (a wire
 // request's resolved ModelSpec, or the service default).
 func (s *Service) execTableAs(ctx context.Context, tw schema.TableWorkload, opt ReplayOptions, sel *ExecSelection, m cost.Model, mkey string) (*replay.OperatorReplay, Fingerprint, bool, error) {
-	if err := opt.validate(); err != nil {
-		return nil, Fingerprint{}, false, err
-	}
-	cfg, err := replayConfigFor(m, opt)
+	r, err := prepareRun(tw, opt, m, mkey)
 	if err != nil {
 		return nil, Fingerprint{}, false, err
 	}
-	if cfg.MaxRows == 0 {
-		cfg.MaxRows = replay.DefaultMaxRows
-	}
-	if tw.Table == nil {
-		return nil, Fingerprint{}, false, fmt.Errorf("advisor: nil table")
-	}
 	var opSel *replay.Selection
-	var keySel ExecSelection
+	key := execKey{replayKey: r.key()}
 	if sel != nil {
-		attr := tw.Table.AttrIndex(sel.Column)
+		attr := r.tw.Table.AttrIndex(sel.Column)
 		if attr < 0 {
 			return nil, Fingerprint{}, false, fmt.Errorf("%w: table %s has no column %q",
-				ErrBadReplay, tw.Table.Name, sel.Column)
+				ErrBadReplay, r.tw.Table.Name, sel.Column)
 		}
 		opSel = &replay.Selection{Attr: attr, Bound: sel.Bound}
-		keySel = *sel
+		key.sel = *sel
 	}
-	tw = normalizeWeights(tw)
-	key := execKey{fp: FingerprintOf(tw), model: mkey, rows: cfg.MaxRows, seed: cfg.Seed, sel: keySel}
-
-	s.mu.Lock()
-	e, ok := s.execEntries.Get(key)
-	if !ok {
-		e = &execEntry{}
-		s.execEntries.Insert(key, e)
-	}
-	s.mu.Unlock()
-
-	ran := false
-	e.once.Do(func() {
-		ran = true
-		// Advice may be cached from a request whose *Table pointer differs;
-		// rebind the layout onto THIS workload's table.
-		advice, _, _, err := s.adviseTableAs(ctx, tw, m, mkey)
+	rep, hit, err := s.execs.Get(key, func() (*replay.OperatorReplay, error) {
+		layout, algorithm, err := s.advisedLayout(ctx, r)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		layout, err := partition.New(tw.Table, advice.Layout.Parts)
+		rep, err := replay.Operators(r.tw, layout, algorithm, r.cfg, opSel)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.report, e.err = replay.Operators(tw, layout, advice.Algorithm, cfg, opSel)
-		if e.err == nil {
-			s.tm.recordOpStats(e.report.Ops)
-			s.tm.recordExec(e.report)
-		}
+		s.tm.recordOpStats(rep.Ops)
+		s.tm.recordExec(rep)
+		// Per-batch fill ratios feed only the telemetry above. The cached
+		// report must not keep them: at batch_size=1 they grow with the
+		// row count, one float per batch per query, and the FIFO bounds
+		// entries, not bytes.
+		rep.FillRatios = nil
+		return rep, nil
 	})
-	if e.err != nil {
-		// A failed execution must not poison its cache key forever.
-		s.mu.Lock()
-		if cur, ok := s.execEntries.Get(key); ok && cur == e {
-			s.execEntries.Drop(key)
-		}
-		s.mu.Unlock()
-		return nil, key.fp, false, e.err
-	}
-	return e.report, key.fp, !ran, nil
+	return rep, r.fp, hit, err
 }

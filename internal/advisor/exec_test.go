@@ -4,6 +4,9 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"knives/internal/replay"
+	"knives/internal/telemetry"
 )
 
 // queryRequest is an events-style workload with a date column so the
@@ -179,8 +182,11 @@ func TestServerQueryExecModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.Reports[0].Cached {
-		t.Error("row-mode request did not share the vector run's cached execution")
+	// On a hit, exec_mode names the mode that computed the cached numbers
+	// and cached:true says this request executed nothing.
+	if got := second.Reports[0]; !got.Cached || got.ExecMode != "vector" {
+		t.Errorf("row-mode request over the vector-built entry: cached=%v exec_mode=%q, want true/vector",
+			got.Cached, got.ExecMode)
 	}
 	if second.Reports[0].MeasuredSeconds != rep.MeasuredSeconds {
 		t.Error("cached execution differs across exec modes")
@@ -230,5 +236,54 @@ func TestServerQueryExecValidation(t *testing.T) {
 	req.ExecWorkers = MaxReplayWorkers + 1
 	if _, err := client.Query(ctx, req); err == nil || !strings.Contains(err.Error(), "exec_workers") {
 		t.Errorf("oversized exec_workers error = %v", err)
+	}
+}
+
+// TestExecCacheKeepsNoPerBatchData: per-batch fill ratios feed the /query
+// telemetry and nothing else, so the cached report must not hold them — at
+// batch_size=1 they are one float per row per query. The histogram still
+// receives every batch.
+func TestExecCacheKeepsNoPerBatchData(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	svc := NewService(Config{Telemetry: reg})
+	tw := coAccessWorkload(wideTable(t))
+	opt := ReplayOptions{MaxRows: 300, ExecMode: "vector", BatchSize: 1}
+	rep, _, cached, err := svc.ExecTable(tw, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached {
+		t.Fatal("first execution reported cached")
+	}
+	if rep.FillRatios != nil {
+		t.Errorf("cached report keeps per-batch fill ratios for %d queries", len(rep.FillRatios))
+	}
+
+	// The batch count, from an uncached execution of the same layout.
+	advice, _, err := svc.AdviseTable(tw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := replayConfigFor(svc.model, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := replay.Operators(tw, advice.Layout, advice.Algorithm, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := 0
+	for _, ratios := range oracle.FillRatios {
+		batches += len(ratios)
+	}
+	if batches < int(oracle.RowsReplayed) {
+		t.Fatalf("oracle saw %d batches over %d rows at batch_size=1", batches, oracle.RowsReplayed)
+	}
+	var expo strings.Builder
+	if _, err := reg.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	if got := sampleValue(t, expo.String(), "knives_query_batch_fill_ratio_count"); got != float64(batches) {
+		t.Errorf("fill ratio histogram count = %v, want the %d batches executed", got, batches)
 	}
 }

@@ -175,6 +175,12 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	if queryRows == 0 {
 		t.Fatal("vector /query emitted no rows; fill-ratio samples would be vacuous")
 	}
+	// The same request again is an exec cache hit.
+	if again, err := client.Query(ctx, qreq); err != nil {
+		t.Fatal(err)
+	} else if !again.Reports[0].Cached {
+		t.Fatal("repeated /query not served from the exec cache")
+	}
 
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -223,6 +229,14 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 			t.Errorf("%s = %v, want >= %v", name, got, min)
 		}
 	}
+	for name, want := range map[string]float64{
+		"knives_executions_total": 2,
+		"knives_exec_hits_total":  1,
+	} {
+		if got := sampleValue(t, expo, name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
 	// Fill ratios land in (0, 1].
 	if got := sampleValue(t, expo, "knives_query_batch_fill_ratio_sum"); got <= 0 ||
 		got > sampleValue(t, expo, "knives_query_batch_fill_ratio_count") {
@@ -241,6 +255,10 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	}
 	if st.Recovery == nil {
 		t.Fatal("journaling service /stats has no recovery report")
+	}
+	if st.Executions != 2 || st.ExecHits != 1 || st.CachedExecutions != 1 {
+		t.Errorf("/stats executions=%d exec_hits=%d cached_executions=%d, want 2/1/1",
+			st.Executions, st.ExecHits, st.CachedExecutions)
 	}
 
 	// pprof answers on its operator-enabled mount.

@@ -239,15 +239,33 @@ func TestDriftEvictsStaleReplayReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := ReplayOptions{MaxRows: 1_000}
-	if _, _, cached, err := svc.ReplayTable(tw, opt); err != nil {
-		t.Fatal(err)
-	} else if cached {
-		t.Fatal("first replay cached")
+	// Every cached report built on the pre-drift advice: the replay, and
+	// the execution with and without a selection.
+	runs := map[string]func() (bool, error){
+		"replay": func() (bool, error) {
+			_, _, cached, err := svc.ReplayTable(tw, opt)
+			return cached, err
+		},
+		"exec": func() (bool, error) {
+			_, _, cached, err := svc.ExecTable(tw, opt, nil)
+			return cached, err
+		},
+		"exec+selection": func() (bool, error) {
+			_, _, cached, err := svc.ExecTable(tw, opt, &ExecSelection{Column: "a", Bound: 1 << 31})
+			return cached, err
+		},
 	}
-	if _, _, cached, err := svc.ReplayTable(tw, opt); err != nil {
-		t.Fatal(err)
-	} else if !cached {
-		t.Fatal("second replay not cached (cache broken; eviction test would be vacuous)")
+	for name, run := range runs {
+		if cached, err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		} else if cached {
+			t.Fatalf("first %s cached", name)
+		}
+		if cached, err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		} else if !cached {
+			t.Fatalf("second %s not cached (cache broken; eviction test would be vacuous)", name)
+		}
 	}
 
 	recomputed := false
@@ -262,12 +280,14 @@ func TestDriftEvictsStaleReplayReports(t *testing.T) {
 		t.Fatal("drift never triggered")
 	}
 
-	// The drift recompute invalidated the advice the cached report was
-	// built on; a post-drift replay of the same workload must re-execute.
-	if _, _, cached, err := svc.ReplayTable(tw, opt); err != nil {
-		t.Fatal(err)
-	} else if cached {
-		t.Error("post-drift replay served a stale layout's report from cache")
+	// The drift recompute invalidated the advice the cached reports were
+	// built on; a post-drift run of the same workload must re-execute.
+	for name, run := range runs {
+		if cached, err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		} else if cached {
+			t.Errorf("post-drift %s served a stale layout's report from cache", name)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package advisor
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"knives/internal/cost"
 	"knives/internal/operator"
@@ -85,35 +84,75 @@ type replayKey struct {
 	seed  int64
 }
 
-// replayEntry computes one replay at most once, like the advice cache's
-// entry: the service mutex only guards the map, the expensive
-// materialize-and-scan runs under the once, so identical concurrent
-// requests collapse into one execution.
-type replayEntry struct {
-	once   sync.Once
-	report *replay.TableReplay
-	err    error
-}
-
 // replayConfigFor translates a pricing model into a replay config: the
 // model's full device becomes the config's device (replay.Config treats a
 // named Disk with an empty Model as the device itself), so the engine
 // materializes, measures, and prices on exactly the hardware the request
-// resolved.
+// resolved. MaxRows 0 resolves to replay.DefaultMaxRows here, so the cache
+// keys carry the row count that actually runs.
 func replayConfigFor(m cost.Model, opt ReplayOptions) (replay.Config, error) {
 	dm, ok := m.(*cost.DeviceModel)
 	if !ok {
 		return replay.Config{}, fmt.Errorf("advisor: cost model %s has no replay pricing", m.Name())
 	}
+	rows := opt.MaxRows
+	if rows == 0 {
+		rows = replay.DefaultMaxRows
+	}
 	return replay.Config{
 		Disk:        dm.Device(),
-		MaxRows:     opt.MaxRows,
+		MaxRows:     rows,
 		Seed:        opt.Seed,
 		Workers:     opt.Workers,
 		ExecMode:    opt.ExecMode,
 		BatchSize:   opt.BatchSize,
 		ExecWorkers: opt.ExecWorkers,
 	}, nil
+}
+
+// tableRun is one /replay or /query table request after the preamble both
+// share: options validated, the replay config resolved on the request's
+// device, and query weights normalized.
+type tableRun struct {
+	tw   schema.TableWorkload
+	fp   Fingerprint
+	cfg  replay.Config
+	m    cost.Model
+	mkey string
+}
+
+// prepareRun runs the shared preamble of replayTableAs and execTableAs.
+func prepareRun(tw schema.TableWorkload, opt ReplayOptions, m cost.Model, mkey string) (tableRun, error) {
+	if err := opt.validate(); err != nil {
+		return tableRun{}, err
+	}
+	cfg, err := replayConfigFor(m, opt)
+	if err != nil {
+		return tableRun{}, err
+	}
+	if tw.Table == nil {
+		return tableRun{}, fmt.Errorf("advisor: nil table")
+	}
+	tw = normalizeWeights(tw)
+	return tableRun{tw: tw, fp: FingerprintOf(tw), cfg: cfg, m: m, mkey: mkey}, nil
+}
+
+// key is the run's replay cache key.
+func (r tableRun) key() replayKey {
+	return replayKey{fp: r.fp, model: r.mkey, rows: r.cfg.MaxRows, seed: r.cfg.Seed}
+}
+
+// advisedLayout advises the run's workload (from the fingerprint cache,
+// searching on a miss) and rebinds the layout onto THIS request's table:
+// cached advice may come from a request whose *Table pointer differs, and
+// the fingerprint guarantees identical schemas.
+func (s *Service) advisedLayout(ctx context.Context, r tableRun) (partition.Partitioning, string, error) {
+	advice, _, _, err := s.adviseTableAs(ctx, r.tw, r.m, r.mkey)
+	if err != nil {
+		return partition.Partitioning{}, "", err
+	}
+	layout, err := partition.New(r.tw.Table, advice.Layout.Parts)
+	return layout, advice.Algorithm, err
 }
 
 // ReplayTable answers one table's advise-materialize-replay-report chain:
@@ -131,61 +170,16 @@ func (s *Service) ReplayTable(tw schema.TableWorkload, opt ReplayOptions) (*repl
 // bounds the embedded advise step's search waits; the materialize-and-scan
 // itself runs to completion once started.
 func (s *Service) replayTableAs(ctx context.Context, tw schema.TableWorkload, opt ReplayOptions, m cost.Model, mkey string) (*replay.TableReplay, Fingerprint, bool, error) {
-	if err := opt.validate(); err != nil {
-		return nil, Fingerprint{}, false, err
-	}
-	cfg, err := replayConfigFor(m, opt)
+	r, err := prepareRun(tw, opt, m, mkey)
 	if err != nil {
 		return nil, Fingerprint{}, false, err
 	}
-	if cfg.MaxRows == 0 {
-		cfg.MaxRows = replay.DefaultMaxRows
-	}
-	if tw.Table == nil {
-		return nil, Fingerprint{}, false, fmt.Errorf("advisor: nil table")
-	}
-	tw = normalizeWeights(tw)
-	s.replays.Add(1)
-	key := replayKey{fp: FingerprintOf(tw), model: mkey, rows: cfg.MaxRows, seed: cfg.Seed}
-
-	s.mu.Lock()
-	e, ok := s.replayEntries.Get(key)
-	if !ok {
-		e = &replayEntry{}
-		s.replayEntries.Insert(key, e)
-	}
-	s.mu.Unlock()
-
-	ran := false
-	e.once.Do(func() {
-		ran = true
-		// The advice may come from the cache, computed for an earlier
-		// request whose *Table pointer differs; rebind the layout onto THIS
-		// workload's table (the fingerprint guarantees identical schemas).
-		advice, _, _, err := s.adviseTableAs(ctx, tw, m, mkey)
+	rep, hit, err := s.replays.Get(r.key(), func() (*replay.TableReplay, error) {
+		layout, algorithm, err := s.advisedLayout(ctx, r)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		layout, err := partition.New(tw.Table, advice.Layout.Parts)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.report, e.err = replay.Layout(tw, layout, advice.Algorithm, cfg)
+		return replay.Layout(r.tw, layout, algorithm, r.cfg)
 	})
-	if e.err != nil {
-		// Like a failed advice search, a failed replay must not poison its
-		// cache key forever.
-		s.mu.Lock()
-		if cur, ok := s.replayEntries.Get(key); ok && cur == e {
-			s.replayEntries.Drop(key)
-		}
-		s.mu.Unlock()
-		return nil, key.fp, false, e.err
-	}
-	if !ran {
-		s.replayHits.Add(1)
-	}
-	return e.report, key.fp, !ran, nil
+	return rep, r.fp, hit, err
 }

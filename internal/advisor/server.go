@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"time"
 
+	"knives/internal/cost"
+	"knives/internal/schema"
 	"knives/internal/telemetry"
 )
 
@@ -291,48 +293,80 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, AdviseResponse{Advice: wires})
 }
 
-func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
-	var req ReplayRequest
-	if err := decodeBody(w, r, &req); err != nil {
+// tableRequest is a /replay or /query body: a workload plus the replay
+// knobs it turns, and a check of the materialized tables.
+type tableRequest interface {
+	advise() AdviseRequest
+	options() ReplayOptions
+	checkTables(tws []schema.TableWorkload) error
+}
+
+// serveTables is the request path /replay and /query share: decode the
+// body into req, validate its options, resolve its model, materialize its
+// workload, let req vet the tables before any work starts, and fan the
+// tables out through answer — the response keeps the request's table
+// order. An ErrBadReplay from either step is the client's (400);
+// anything else goes through writeServiceError. ok=false means the error
+// response is already written.
+func serveTables[W any](s *Server, w http.ResponseWriter, r *http.Request, req tableRequest,
+	answer func(tw schema.TableWorkload, opt ReplayOptions, m cost.Model, mkey string) (W, error),
+) (wires []W, ok bool) {
+	if err := decodeBody(w, r, req); err != nil {
 		writeDecodeError(w, err)
-		return
+		return nil, false
 	}
-	opt := ReplayOptions{MaxRows: req.MaxRows, Seed: req.Seed, Workers: req.Workers}
+	opt := req.options()
 	if err := opt.validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, false
 	}
-	m, mkey, err := s.svc.modelFor(req.Model)
+	areq := req.advise()
+	m, mkey, err := s.svc.modelFor(areq.Model)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, false
 	}
-	b, err := req.advise().Materialize()
+	b, err := areq.Materialize()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, false
 	}
-	// Fan the tables out, as /advise does; the response keeps the request's
-	// table order.
 	tws := b.TableWorkloads()
-	wires := make([]TableReplayWire, len(tws))
-	err = fanOut(len(tws), func(i int) error {
-		rep, fp, cached, err := s.svc.replayTableAs(r.Context(), tws[i], opt, m, mkey)
-		if err != nil {
+	wires = make([]W, len(tws))
+	err = req.checkTables(tws)
+	if err == nil {
+		err = fanOut(len(tws), func(i int) error {
+			var err error
+			wires[i], err = answer(tws[i], opt, m, mkey)
 			return err
-		}
-		wires[i] = toReplayWire(rep, fp, cached)
-		return nil
-	})
+		})
+	}
 	if err != nil {
 		if errors.Is(err, ErrBadReplay) {
 			writeError(w, http.StatusBadRequest, err)
-			return
+		} else {
+			s.writeServiceError(w, err)
 		}
-		s.writeServiceError(w, err)
-		return
+		return nil, false
 	}
-	writeJSON(w, ReplayResponse{Reports: wires})
+	return wires, true
+}
+
+// handleReplay answers POST /replay: advise, materialize, and replay the
+// workload with monolithic scans, reporting measured against predicted.
+func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
+	var req ReplayRequest
+	wires, ok := serveTables(s, w, r, &req,
+		func(tw schema.TableWorkload, opt ReplayOptions, m cost.Model, mkey string) (TableReplayWire, error) {
+			rep, fp, cached, err := s.svc.replayTableAs(r.Context(), tw, opt, m, mkey)
+			if err != nil {
+				return TableReplayWire{}, err
+			}
+			return toReplayWire(rep, fp, cached), nil
+		})
+	if ok {
+		writeJSON(w, ReplayResponse{Reports: wires})
+	}
 }
 
 // handleQuery answers POST /query: advise, materialize, and EXECUTE the
@@ -341,70 +375,21 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 // its named table; other tables execute unfiltered.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeDecodeError(w, err)
-		return
-	}
-	opt := ReplayOptions{
-		MaxRows: req.MaxRows, Seed: req.Seed, Workers: req.Workers,
-		ExecMode: req.Exec, BatchSize: req.BatchSize, ExecWorkers: req.ExecWorkers,
-	}
-	if err := opt.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	m, mkey, err := s.svc.modelFor(req.Model)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	b, err := req.advise().Materialize()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	tws := b.TableWorkloads()
-	if sel := req.Selection; sel != nil {
-		if sel.Table == "" || sel.Column == "" {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("%w: selection needs both table and column", ErrBadReplay))
-			return
-		}
-		found := false
-		for _, tw := range tws {
-			if tw.Table.Name == sel.Table {
-				found = true
-				break
+	wires, ok := serveTables(s, w, r, &req,
+		func(tw schema.TableWorkload, opt ReplayOptions, m cost.Model, mkey string) (TableExecWire, error) {
+			var sel *ExecSelection
+			if req.Selection != nil && req.Selection.Table == tw.Table.Name {
+				sel = &ExecSelection{Column: req.Selection.Column, Bound: req.Selection.Bound}
 			}
-		}
-		if !found {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("%w: selection table %q not in workload", ErrBadReplay, sel.Table))
-			return
-		}
+			rep, fp, cached, err := s.svc.execTableAs(r.Context(), tw, opt, sel, m, mkey)
+			if err != nil {
+				return TableExecWire{}, err
+			}
+			return toExecWire(rep, fp, cached), nil
+		})
+	if ok {
+		writeJSON(w, QueryResponse{Reports: wires})
 	}
-	wires := make([]TableExecWire, len(tws))
-	err = fanOut(len(tws), func(i int) error {
-		var sel *ExecSelection
-		if req.Selection != nil && req.Selection.Table == tws[i].Table.Name {
-			sel = &ExecSelection{Column: req.Selection.Column, Bound: req.Selection.Bound}
-		}
-		rep, fp, cached, err := s.svc.execTableAs(r.Context(), tws[i], opt, sel, m, mkey)
-		if err != nil {
-			return err
-		}
-		wires[i] = toExecWire(rep, fp, cached)
-		return nil
-	})
-	if err != nil {
-		if errors.Is(err, ErrBadReplay) {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		s.writeServiceError(w, err)
-		return
-	}
-	writeJSON(w, QueryResponse{Reports: wires})
 }
 
 // observeStatus maps an observe-path error to the HTTP status the

@@ -11,6 +11,7 @@ import (
 
 	"knives/internal/cost"
 	"knives/internal/migrate"
+	"knives/internal/replay"
 	"knives/internal/schema"
 	"knives/internal/statestore"
 	"knives/internal/telemetry"
@@ -97,11 +98,6 @@ const DefaultCacheCapacity = 4096
 // window of logged queries, and the current advice.
 const DefaultTrackerCapacity = 1024
 
-// Service is a long-running, concurrent partitioning advisor: it answers
-// workload questions from a fingerprint-keyed advice cache, computes misses
-// by fanning the portfolio out over the parallel search kernel, and watches
-// per-table query streams for drift. All methods are safe for concurrent
-// use.
 // adviceKey identifies one cached advice computation: the workload
 // fingerprint plus the canonical key of the model that priced it. The same
 // workload priced on a different device is a different question — without
@@ -111,6 +107,11 @@ type adviceKey struct {
 	model string
 }
 
+// Service is a long-running, concurrent partitioning advisor: it answers
+// workload questions from a fingerprint-keyed advice cache, computes misses
+// by fanning the portfolio out over the parallel search kernel, and watches
+// per-table query streams for drift. All methods are safe for concurrent
+// use.
 type Service struct {
 	cfg   Config
 	model cost.Model
@@ -123,19 +124,19 @@ type Service struct {
 	store statestore.Store
 	jn    *journal
 
-	// The caches and the tracker registry are FIFO-bounded maps; the
-	// caches are rebuildable from searches and deliberately NOT journaled,
-	// the trackers are the durable state.
-	mu             sync.Mutex
-	entries        *statestore.FIFO[adviceKey, *entry]
-	trackers       *statestore.FIFO[string, *Tracker]
-	replayEntries  *statestore.FIFO[replayKey, *replayEntry]
-	execEntries    *statestore.FIFO[execKey, *execEntry]
-	migrateEntries *statestore.FIFO[migrateKey, *migrateEntry]
+	// mu guards the FIFO-bounded tracker registry, the durable state.
+	mu       sync.Mutex
+	trackers *statestore.FIFO[string, *Tracker]
+
+	// The caches, each counting its own requests and hits.
+	advice     *onceCache[adviceKey, TableAdvice]
+	replays    *onceCache[replayKey, *replay.TableReplay]
+	execs      *onceCache[execKey, *replay.OperatorReplay]
+	migrations *onceCache[migrateKey, *MigrationOutcome]
 	// observeSeen is the redelivery-dedup window: recently applied batch
 	// IDs and their outcomes, so a client retry after a lost response
 	// answers the original ingest instead of double-counting.
-	observeSeen *statestore.FIFO[string, *observeDedupEntry]
+	observeSeen *onceCache[string, []ObserveOutcome]
 
 	// ing is the sharded observe-ingest stage: every observation batch
 	// funnels through it so concurrent batches share group commits.
@@ -145,14 +146,8 @@ type Service struct {
 	// them nil and every instrumentation point free.
 	tm svcMetrics
 
-	requests    atomic.Int64 // table advice requests answered
-	hits        atomic.Int64 // answered from cache without searching
-	searches    atomic.Int64 // portfolio searches actually run
-	recomputes  atomic.Int64 // drift-triggered recomputations
-	replays     atomic.Int64 // table replay requests answered
-	replayHits  atomic.Int64 // replays answered from cache without executing
-	migrations  atomic.Int64 // migration requests answered
-	migrateHits atomic.Int64 // migrations answered from cache without executing
+	searches   atomic.Int64 // portfolio searches actually run
+	recomputes atomic.Int64 // drift-triggered recomputations
 
 	// Batch-accurate observation counters: queries observed (not HTTP
 	// requests), observation batches applied, and group commits — so
@@ -160,17 +155,6 @@ type Service struct {
 	observedQueries atomic.Int64
 	observeBatches  atomic.Int64
 	ingestGroups    atomic.Int64
-	observeDups     atomic.Int64 // batched observes answered from the dedup window
-}
-
-// entry computes one workload's advice at most once. The service mutex only
-// guards the map; the expensive portfolio search runs under the entry's
-// once, so different workloads compute concurrently and identical
-// concurrent requests collapse into one search.
-type entry struct {
-	once   sync.Once
-	advice TableAdvice
-	err    error
 }
 
 // NewService returns an empty advisor service. It accepts only
@@ -237,17 +221,17 @@ func OpenService(cfg Config) (*Service, error) {
 		st = statestore.NewMem()
 	}
 	s := &Service{
-		cfg:            cfg,
-		model:          m,
-		modelKey:       modelKeyOf(m),
-		store:          st,
-		jn:             newJournal(st),
-		entries:        statestore.NewFIFO[adviceKey, *entry](cfg.CacheCapacity),
-		trackers:       statestore.NewFIFO[string, *Tracker](cfg.TrackerCapacity),
-		replayEntries:  statestore.NewFIFO[replayKey, *replayEntry](cfg.ReplayCacheCapacity),
-		execEntries:    statestore.NewFIFO[execKey, *execEntry](cfg.ReplayCacheCapacity),
-		migrateEntries: statestore.NewFIFO[migrateKey, *migrateEntry](cfg.MigrateCacheCapacity),
-		observeSeen:    statestore.NewFIFO[string, *observeDedupEntry](DefaultObserveDedupWindow),
+		cfg:         cfg,
+		model:       m,
+		modelKey:    modelKeyOf(m),
+		store:       st,
+		jn:          newJournal(st),
+		trackers:    statestore.NewFIFO[string, *Tracker](cfg.TrackerCapacity),
+		advice:      newOnceCache[adviceKey, TableAdvice](cfg.CacheCapacity),
+		replays:     newOnceCache[replayKey, *replay.TableReplay](cfg.ReplayCacheCapacity),
+		execs:       newOnceCache[execKey, *replay.OperatorReplay](cfg.ReplayCacheCapacity),
+		migrations:  newOnceCache[migrateKey, *MigrationOutcome](cfg.MigrateCacheCapacity),
+		observeSeen: newOnceCache[string, []ObserveOutcome](DefaultObserveDedupWindow),
 	}
 	for _, ts := range st.Recovered() {
 		if ts.ModelKey != s.modelKey {
@@ -308,6 +292,11 @@ type Stats struct {
 	Replays       int64 `json:"replays"`
 	ReplayHits    int64 `json:"replay_hits"`
 	CachedReplays int   `json:"cached_replays"`
+	// Executions counts /query table executions answered; ExecHits the
+	// ones served from the exec cache without executing anything.
+	Executions       int64 `json:"executions"`
+	ExecHits         int64 `json:"exec_hits"`
+	CachedExecutions int   `json:"cached_executions"`
 	// Migrations counts migration requests answered; MigrateHits the ones
 	// served from the outcome cache without planning or executing.
 	Migrations       int64 `json:"migrations"`
@@ -336,16 +325,15 @@ type Stats struct {
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
-	cached, tracked, cachedReplays, cachedMigrations := s.entries.Len(), s.trackers.Len(), s.replayEntries.Len(), s.migrateEntries.Len()
+	tracked := s.trackers.Len()
 	s.mu.Unlock()
 	// Load hits before requests: a request increments requests first, so
 	// this order can only overcount misses, never report a negative count.
-	hits := s.hits.Load()
-	req := s.requests.Load()
-	replayHits := s.replayHits.Load()
-	replays := s.replays.Load()
-	migrateHits := s.migrateHits.Load()
-	migrations := s.migrations.Load()
+	hits := s.advice.hits.Load()
+	req := s.advice.requests.Load()
+	replayHits := s.replays.hits.Load()
+	execHits := s.execs.hits.Load()
+	migrateHits := s.migrations.hits.Load()
 	var recovery *statestore.RecoveryReport
 	if s.store.Journaling() {
 		rep := s.store.Report()
@@ -358,35 +346,22 @@ func (s *Service) Stats() Stats {
 		Misses:           req - hits,
 		Searches:         s.searches.Load(),
 		Recomputes:       s.recomputes.Load(),
-		Cached:           cached,
+		Cached:           s.advice.Len(),
 		Tracked:          tracked,
-		Replays:          replays,
+		Replays:          s.replays.requests.Load(),
 		ReplayHits:       replayHits,
-		CachedReplays:    cachedReplays,
-		Migrations:       migrations,
+		CachedReplays:    s.replays.Len(),
+		Executions:       s.execs.requests.Load(),
+		ExecHits:         execHits,
+		CachedExecutions: s.execs.Len(),
+		Migrations:       s.migrations.requests.Load(),
 		MigrateHits:      migrateHits,
-		CachedMigrations: cachedMigrations,
+		CachedMigrations: s.migrations.Len(),
 		ObservedQueries:  s.observedQueries.Load(),
 		ObserveBatches:   s.observeBatches.Load(),
 		IngestGroups:     s.ingestGroups.Load(),
-		DuplicateBatches: s.observeDups.Load(),
+		DuplicateBatches: s.observeSeen.hits.Load(),
 	}
-}
-
-// lookup returns the cache entry for an advice key, creating it if absent.
-// Hit/miss attribution is NOT decided here — it belongs to whoever wins
-// the entry's once and actually runs the search. Evicted entries that a
-// request is currently resolving still complete through their retained
-// *entry pointer; they are simply no longer findable.
-func (s *Service) lookup(k adviceKey) *entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries.Get(k)
-	if !ok {
-		e = &entry{}
-		s.entries.Insert(k, e)
-	}
-	return e
 }
 
 // AdviseTable answers one table workload, from cache when the fingerprint
@@ -436,36 +411,18 @@ func (s *Service) adviseTableAs(ctx context.Context, tw schema.TableWorkload, m 
 	// workloads share a cache entry.
 	tw = normalizeWeights(tw)
 	t0 := time.Now()
-	s.requests.Add(1)
 	fp := FingerprintOf(tw)
-	key := adviceKey{fp: fp, model: mkey}
-	e := s.lookup(key)
-	ran := false
-	e.once.Do(func() {
-		ran = true
+	advice, hit, err := s.advice.Get(adviceKey{fp: fp, model: mkey}, func() (TableAdvice, error) {
 		s.searches.Add(1)
 		sctx, sp := telemetry.StartSpan(ctx, "portfolio-search "+tw.Table.Name)
 		tSearch := time.Now()
-		e.advice, e.err = AdviseTableContext(sctx, tw, m)
+		advice, err := AdviseTableContext(sctx, tw, m)
 		sp.End()
 		s.tm.search.Since(tSearch)
+		return advice, err
 	})
-	// Attribution is by who ran the search, not who created the entry: a
-	// concurrent requester can find the entry yet win the once race and do
-	// the work, while the creator blocks and gets the cached result. "Hit"
-	// must always mean "did not run the kernel".
-	hit := !ran
-	if e.err != nil {
-		// Failed computations must not poison the cache key forever.
-		s.mu.Lock()
-		if cur, ok := s.entries.Get(key); ok && cur == e {
-			s.entries.Drop(key)
-		}
-		s.mu.Unlock()
-		return TableAdvice{}, fp, false, e.err
-	}
-	if hit {
-		s.hits.Add(1)
+	if err != nil {
+		return TableAdvice{}, fp, false, err
 	}
 	// Register (for the daemon's own model): the helper preserves a live
 	// tracker's observation state when the same workload is re-advised,
@@ -484,7 +441,7 @@ func (s *Service) adviseTableAs(ctx context.Context, tw schema.TableWorkload, m 
 		// registration was not applied (journal-before-apply), the advice
 		// entry stays cached, and the client's retry re-attempts exactly
 		// the registration.
-		if err := s.registerTracker(tw, e.advice, fp, m, mkey); err != nil {
+		if err := s.registerTracker(tw, advice, fp, m, mkey); err != nil {
 			return TableAdvice{}, fp, false, err
 		}
 	}
@@ -493,7 +450,7 @@ func (s *Service) adviseTableAs(ctx context.Context, tw schema.TableWorkload, m 
 	} else {
 		s.tm.adviseMiss.Since(t0)
 	}
-	return e.advice, fp, hit, nil
+	return advice, fp, hit, nil
 }
 
 // registerTracker creates or refreshes the drift tracker for a table after
@@ -699,26 +656,18 @@ func (s *Service) afterObserve(rep DriftReport, rec *recomputedAdvice, err error
 		// The advice was computed for exactly rec.snapshot under
 		// rec.modelKey's device, so the pairing is safe to cache even if
 		// newer batches have since moved the tracker.
-		e := &entry{advice: rec.advice}
-		e.once.Do(func() {}) // mark resolved
 		snapFP := FingerprintOf(rec.snapshot)
-		s.mu.Lock()
-		s.entries.Insert(adviceKey{fp: snapFP, model: rec.modelKey}, e)
+		s.advice.Put(adviceKey{fp: snapFP, model: rec.modelKey}, rec.advice)
 		// A recompute means the advice this tracker serves MOVED: replay
-		// reports cached under the fingerprint it covered until now (and
-		// under the snapshot's own key, if a client replayed it while an
-		// older advice entry answered it) describe a layout the daemon no
-		// longer advises. Without this eviction, a post-drift /replay
-		// would serve the stale layout's report from cache.
-		s.replayEntries.DropFunc(func(k replayKey) bool {
-			return k.fp == rec.prevFP || k.fp == snapFP
-		})
-		// Executions cache the advised layout too — same staleness, same
-		// eviction.
-		s.execEntries.DropFunc(func(k execKey) bool {
-			return k.fp == rec.prevFP || k.fp == snapFP
-		})
-		s.mu.Unlock()
+		// reports and executions cached under the fingerprint it covered
+		// until now (and under the snapshot's own key, if a client replayed
+		// it while an older advice entry answered it) describe a layout the
+		// daemon no longer advises. Without this eviction, a post-drift
+		// /replay or /query would serve the stale layout's report from
+		// cache.
+		stale := func(fp Fingerprint) bool { return fp == rec.prevFP || fp == snapFP }
+		s.replays.DropFunc(func(k replayKey) bool { return stale(k.fp) })
+		s.execs.DropFunc(func(k execKey) bool { return stale(k.fp) })
 	}
 	return rep, nil
 }

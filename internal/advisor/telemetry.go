@@ -99,26 +99,24 @@ func (m *svcMetrics) bind(reg *telemetry.Registry, s *Service) {
 
 	// The service's own monotonic counters, read at scrape time.
 	reg.SetHelp("knives_requests_total", "Table advice requests answered.")
-	reg.CounterFunc("knives_requests_total", s.requests.Load)
-	reg.CounterFunc("knives_advice_hits_total", s.hits.Load)
+	reg.CounterFunc("knives_requests_total", s.advice.requests.Load)
+	reg.CounterFunc("knives_advice_hits_total", s.advice.hits.Load)
 	reg.CounterFunc("knives_searches_total", s.searches.Load)
 	reg.CounterFunc("knives_recomputes_total", s.recomputes.Load)
-	reg.CounterFunc("knives_replays_total", s.replays.Load)
-	reg.CounterFunc("knives_replay_hits_total", s.replayHits.Load)
-	reg.CounterFunc("knives_migrations_total", s.migrations.Load)
-	reg.CounterFunc("knives_migrate_hits_total", s.migrateHits.Load)
+	reg.CounterFunc("knives_replays_total", s.replays.requests.Load)
+	reg.CounterFunc("knives_replay_hits_total", s.replays.hits.Load)
+	reg.CounterFunc("knives_executions_total", s.execs.requests.Load)
+	reg.CounterFunc("knives_exec_hits_total", s.execs.hits.Load)
+	reg.CounterFunc("knives_migrations_total", s.migrations.requests.Load)
+	reg.CounterFunc("knives_migrate_hits_total", s.migrations.hits.Load)
 	reg.CounterFunc("knives_observed_queries_total", s.observedQueries.Load)
 	reg.CounterFunc("knives_observe_batches_total", s.observeBatches.Load)
 	reg.CounterFunc("knives_ingest_groups_total", s.ingestGroups.Load)
-	reg.CounterFunc("knives_duplicate_batches_total", s.observeDups.Load)
+	reg.CounterFunc("knives_duplicate_batches_total", s.observeSeen.hits.Load)
 
 	reg.SetHelp("knives_ingest_queue_depth", "Observation batches pending across all ingest shards.")
 	reg.GaugeFunc("knives_ingest_queue_depth", func() float64 { return float64(s.ing.queueDepth()) })
-	reg.GaugeFunc("knives_cached_entries", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.entries.Len())
-	})
+	reg.GaugeFunc("knives_cached_entries", func() float64 { return float64(s.advice.Len()) })
 	reg.GaugeFunc("knives_tracked_tables", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()

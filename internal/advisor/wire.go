@@ -109,6 +109,14 @@ func (r ReplayRequest) advise() AdviseRequest {
 	}
 }
 
+// options returns the request's replay knobs.
+func (r ReplayRequest) options() ReplayOptions {
+	return ReplayOptions{MaxRows: r.MaxRows, Seed: r.Seed, Workers: r.Workers}
+}
+
+// checkTables accepts any workload: /replay has no table-scoped knobs.
+func (r ReplayRequest) checkTables([]schema.TableWorkload) error { return nil }
+
 // QueryReplayWire is one query's measured execution on the wire.
 type QueryReplayWire struct {
 	ID               string  `json:"id"`
@@ -200,6 +208,32 @@ func (r QueryRequest) advise() AdviseRequest {
 	}
 }
 
+// options returns the request's replay and exec knobs.
+func (r QueryRequest) options() ReplayOptions {
+	return ReplayOptions{
+		MaxRows: r.MaxRows, Seed: r.Seed, Workers: r.Workers,
+		ExecMode: r.Exec, BatchSize: r.BatchSize, ExecWorkers: r.ExecWorkers,
+	}
+}
+
+// checkTables rejects a selection that names no column or a table outside
+// the workload.
+func (r QueryRequest) checkTables(tws []schema.TableWorkload) error {
+	sel := r.Selection
+	if sel == nil {
+		return nil
+	}
+	if sel.Table == "" || sel.Column == "" {
+		return fmt.Errorf("%w: selection needs both table and column", ErrBadReplay)
+	}
+	for _, tw := range tws {
+		if tw.Table.Name == sel.Table {
+			return nil
+		}
+	}
+	return fmt.Errorf("%w: selection table %q not in workload", ErrBadReplay, sel.Table)
+}
+
 // PipelineWire is one query's executed pipeline on the wire: the measured
 // totals plus the plan and its per-operator decomposition (operator.OpStats
 // serializes itself).
@@ -212,11 +246,15 @@ type PipelineWire struct {
 
 // TableExecWire is one table's executed workload as served over HTTP.
 type TableExecWire struct {
-	Table            string         `json:"table"`
-	Algorithm        string         `json:"algorithm"`
-	Layout           [][]string     `json:"layout"`
-	Model            string         `json:"model"`
-	Selection        string         `json:"selection,omitempty"`
+	Table     string     `json:"table"`
+	Algorithm string     `json:"algorithm"`
+	Layout    [][]string `json:"layout"`
+	Model     string     `json:"model"`
+	Selection string     `json:"selection,omitempty"`
+	// ExecMode names the mode that computed these numbers. Exec knobs are
+	// not part of the cache key, so on a hit it is the mode of the request
+	// that filled the entry, not this request's; Cached=true says this
+	// request executed nothing.
 	ExecMode         string         `json:"exec_mode,omitempty"`
 	RowsReplayed     int64          `json:"rows_replayed"`
 	RowsFull         int64          `json:"rows_full"`
@@ -289,19 +327,12 @@ type MigrationWire struct {
 // toMigrationWire renders a migration outcome for the wire.
 func toMigrationWire(o *MigrationOutcome, cached bool) MigrationWire {
 	p := o.Plan
-	t := p.Table
-	layoutNames := func(pg [][]string, parts []schema.Set) [][]string {
-		for _, part := range parts {
-			pg = append(pg, t.AttrNames(part))
-		}
-		return pg
-	}
 	w := MigrationWire{
 		Table:            o.Table,
 		FromAlgorithm:    p.FromAlgorithm,
 		ToAlgorithm:      p.ToAlgorithm,
-		FromLayout:       layoutNames(nil, p.From.Parts),
-		ToLayout:         layoutNames(nil, p.To.Parts),
+		FromLayout:       layoutNames(p.Table, p.From.Parts),
+		ToLayout:         layoutNames(p.Table, p.To.Parts),
 		Model:            p.Model,
 		MigrationSeconds: p.Migration.Seconds,
 		PerQueryFrom:     p.PerQueryFrom,
@@ -502,31 +533,40 @@ func resolveAttrs(t *schema.Table, names []string) (attrset.Set, error) {
 	return s, nil
 }
 
+// layoutNames renders a layout's parts as column-name lists.
+func layoutNames(t *schema.Table, parts []schema.Set) [][]string {
+	names := make([][]string, 0, len(parts))
+	for _, part := range parts {
+		names = append(names, t.AttrNames(part))
+	}
+	return names
+}
+
+// toQueryWire renders one query's measured execution for the wire.
+func toQueryWire(q replay.QueryReplay) QueryReplayWire {
+	return QueryReplayWire{
+		ID:               q.ID,
+		Weight:           q.Weight,
+		Seeks:            q.Stats.Seeks,
+		BytesRead:        q.Stats.BytesRead,
+		CacheLines:       q.Stats.CacheLines,
+		ReconJoins:       q.Stats.ReconJoins,
+		Checksum:         fmt.Sprintf("%016x", q.Stats.Checksum),
+		MeasuredSeconds:  q.MeasuredSeconds,
+		PredictedSeconds: q.PredictedSeconds,
+	}
+}
+
 // toReplayWire renders a replay report for the wire.
 func toReplayWire(r *replay.TableReplay, fp Fingerprint, cached bool) TableReplayWire {
-	t := r.Layout.Table
-	layout := make([][]string, 0, r.Layout.NumParts())
-	for _, part := range r.Layout.Canonical().Parts {
-		layout = append(layout, t.AttrNames(part))
-	}
 	qs := make([]QueryReplayWire, len(r.Queries))
 	for i, q := range r.Queries {
-		qs[i] = QueryReplayWire{
-			ID:               q.ID,
-			Weight:           q.Weight,
-			Seeks:            q.Stats.Seeks,
-			BytesRead:        q.Stats.BytesRead,
-			CacheLines:       q.Stats.CacheLines,
-			ReconJoins:       q.Stats.ReconJoins,
-			Checksum:         fmt.Sprintf("%016x", q.Stats.Checksum),
-			MeasuredSeconds:  q.MeasuredSeconds,
-			PredictedSeconds: q.PredictedSeconds,
-		}
+		qs[i] = toQueryWire(q)
 	}
 	return TableReplayWire{
 		Table:            r.Table,
 		Algorithm:        r.Algorithm,
-		Layout:           layout,
+		Layout:           layoutNames(r.Layout.Table, r.Layout.Canonical().Parts),
 		Model:            r.Model,
 		RowsReplayed:     r.RowsReplayed,
 		RowsFull:         r.RowsFull,
@@ -545,34 +585,19 @@ func toReplayWire(r *replay.TableReplay, fp Fingerprint, cached bool) TableRepla
 
 // toExecWire renders an executed-pipeline report for the wire.
 func toExecWire(r *replay.OperatorReplay, fp Fingerprint, cached bool) TableExecWire {
-	t := r.Layout.Table
-	layout := make([][]string, 0, r.Layout.NumParts())
-	for _, part := range r.Layout.Canonical().Parts {
-		layout = append(layout, t.AttrNames(part))
-	}
 	ps := make([]PipelineWire, len(r.Queries))
 	for i, q := range r.Queries {
 		ps[i] = PipelineWire{
-			QueryReplayWire: QueryReplayWire{
-				ID:               q.ID,
-				Weight:           q.Weight,
-				Seeks:            q.Stats.Seeks,
-				BytesRead:        q.Stats.BytesRead,
-				CacheLines:       q.Stats.CacheLines,
-				ReconJoins:       q.Stats.ReconJoins,
-				Checksum:         fmt.Sprintf("%016x", q.Stats.Checksum),
-				MeasuredSeconds:  q.MeasuredSeconds,
-				PredictedSeconds: q.PredictedSeconds,
-			},
-			Plan:       r.Plans[i],
-			ResultRows: r.ResultRows[i],
-			Operators:  r.Ops[i],
+			QueryReplayWire: toQueryWire(q),
+			Plan:            r.Plans[i],
+			ResultRows:      r.ResultRows[i],
+			Operators:       r.Ops[i],
 		}
 	}
 	return TableExecWire{
 		Table:            r.Table,
 		Algorithm:        r.Algorithm,
-		Layout:           layout,
+		Layout:           layoutNames(r.Layout.Table, r.Layout.Canonical().Parts),
 		Model:            r.Model,
 		Selection:        r.Selection,
 		ExecMode:         r.ExecMode,
@@ -593,14 +618,10 @@ func toExecWire(r *replay.OperatorReplay, fp Fingerprint, cached bool) TableExec
 
 // toWire renders advice for the wire.
 func toWire(a TableAdvice, fp Fingerprint, cached bool) TableAdviceWire {
-	layout := make([][]string, 0, a.Layout.NumParts())
-	for _, part := range a.Layout.Canonical().Parts {
-		layout = append(layout, a.Table.AttrNames(part))
-	}
 	return TableAdviceWire{
 		Table:                 a.Table.Name,
 		Algorithm:             a.Algorithm,
-		Layout:                layout,
+		Layout:                layoutNames(a.Table, a.Layout.Canonical().Parts),
 		Cost:                  a.Cost,
 		RowCost:               a.RowCost,
 		ColumnCost:            a.ColumnCost,

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,41 +83,43 @@ func TestOperatorsDifferential(t *testing.T) {
 	}
 }
 
-// TestOperatorsMatchMonolithicReplay pins the two execution paths to each
-// other directly: the same workload, layout, and config replayed through
-// Layout (monolithic scans) and through Operators (σ/π/⋈ pipelines) must
-// produce identical per-query stats, measurements, and predictions.
+// TestOperatorsMatchMonolithicReplay pins the two per-query runners of the
+// shared report routine to each other: every table of TPC-H and SSB on
+// every device, replayed through Layout (monolithic scans) and through
+// Operators (σ/π/⋈ pipelines), must produce identical reports — every
+// TableReplay field except the wall-clock Elapsed.
 func TestOperatorsMatchMonolithicReplay(t *testing.T) {
-	tw := schema.TPCH(10).TableWorkloads()[0]
-	for _, model := range []string{"hdd", "mm"} {
-		cfg := Config{Model: model, MaxRows: 1_000, Seed: 7}
-		scanRep, err := Algorithm(tw, "HillClimb", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opRep, err := OperatorsAlgorithm(tw, "HillClimb", cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(scanRep.Queries) != len(opRep.Queries) {
-			t.Fatalf("%s: %d vs %d queries", model, len(scanRep.Queries), len(opRep.Queries))
-		}
-		for i := range scanRep.Queries {
-			s, o := scanRep.Queries[i], opRep.Queries[i]
-			if s.Stats.Checksum != o.Stats.Checksum ||
-				s.Stats.BytesRead != o.Stats.BytesRead ||
-				s.Stats.Seeks != o.Stats.Seeks ||
-				s.Stats.ReconJoins != o.Stats.ReconJoins ||
-				s.Stats.SimTime != o.Stats.SimTime ||
-				s.MeasuredSeconds != o.MeasuredSeconds ||
-				s.PredictedSeconds != o.PredictedSeconds {
-				t.Errorf("%s query %s: scan %+v != operator %+v", model, s.ID, s, o)
+	for _, bench := range []*schema.Benchmark{schema.TPCH(10), schema.SSB(10)} {
+		for _, tw := range bench.TableWorkloads() {
+			for _, model := range []string{"hdd", "ssd", "mm"} {
+				name := fmt.Sprintf("%s/%s/%s", bench.Name, tw.Table.Name, model)
+				cfg := Config{Model: model, MaxRows: 1_000, Seed: 7}
+				_, m, err := cfg.normalized()
+				if err != nil {
+					t.Fatal(err)
+				}
+				layout, algorithm, err := layoutFor(tw, "HillClimb", m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scanRep, err := Layout(tw, layout, algorithm, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				opRep, err := Operators(tw, layout, algorithm, cfg, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				s, o := *scanRep, opRep.TableReplay
+				s.Elapsed, o.Elapsed = 0, 0
+				if !reflect.DeepEqual(s, o) {
+					t.Errorf("%s: scan report\n%+v\n!= operator report\n%+v", name, s, o)
+				}
+				if s.MeasuredTotal != s.PredictedTotal || len(s.Queries) == 0 {
+					t.Errorf("%s: vacuous comparison (%d queries, measured %v != predicted %v)",
+						name, len(s.Queries), s.MeasuredTotal, s.PredictedTotal)
+				}
 			}
-		}
-		if scanRep.MeasuredTotal != opRep.MeasuredTotal || scanRep.PredictedTotal != opRep.PredictedTotal {
-			t.Errorf("%s totals diverge: scan %.18g/%.18g, operator %.18g/%.18g",
-				model, scanRep.MeasuredTotal, scanRep.PredictedTotal,
-				opRep.MeasuredTotal, opRep.PredictedTotal)
 		}
 	}
 }

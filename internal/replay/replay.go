@@ -258,41 +258,7 @@ func (r *TableReplay) String() string {
 // row count (the layout and the model both move to the sampled table, so
 // exactness is preserved).
 func Layout(tw schema.TableWorkload, layout partition.Partitioning, algorithm string, cfg Config) (*TableReplay, error) {
-	cfg, model, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if tw.Table == nil {
-		return nil, fmt.Errorf("replay: nil table")
-	}
-	if layout.Table != tw.Table {
-		return nil, fmt.Errorf("replay: layout partitions %v, workload is over %s", layout.Table, tw.Table.Name)
-	}
-	if err := layout.Validate(); err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	// A replay materializes up to MaxRows of real pages and scans them with
-	// a worker pool — the same class of heavy job as a search. Drawing from
-	// the process-wide gate bounds concurrent replays (stacked fan-outs,
-	// parallel /replay requests) by the core count instead of letting each
-	// request hold its own table copy and pool. No caller holds a slot
-	// while invoking Layout, so this cannot deadlock.
-	algo.AcquireSearchSlot()
-	defer algo.ReleaseSearchSlot()
-	start := time.Now()
-
-	e, err := materialize(tw, layout, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	rep, err := replayLoaded(tw, e, algorithm, cfg, model)
-	if err != nil {
-		return nil, err
-	}
-	rep.RowsFull = tw.Table.Rows
-	rep.Elapsed = time.Since(start)
-	return rep, nil
+	return run(tw, layout, nil, algorithm, cfg, scanRunner)
 }
 
 // OnEngine replays a workload over an ALREADY-MATERIALIZED engine — loaded
@@ -303,36 +269,7 @@ func Layout(tw schema.TableWorkload, layout partition.Partitioning, algorithm st
 // subsystem uses this to verify a migrated store with the same zero-
 // tolerance harness a fresh materialization gets.
 func OnEngine(tw schema.TableWorkload, e *storage.Engine, algorithm string, cfg Config) (*TableReplay, error) {
-	cfg, model, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	if tw.Table == nil {
-		return nil, fmt.Errorf("replay: nil table")
-	}
-	if e.Table() != tw.Table {
-		return nil, fmt.Errorf("replay: engine stores %s (%d rows), workload is over %s (%d rows)",
-			e.Table().Name, e.Table().Rows, tw.Table.Name, tw.Table.Rows)
-	}
-	// The caller built the engine, possibly with a different device's line
-	// granularity; re-sync it to the model's so measured cache lines are
-	// counted in the units the model prices them.
-	if line := cfg.Disk.CacheLineSize; line > 0 {
-		if err := e.SetCacheLine(line); err != nil {
-			return nil, fmt.Errorf("replay: %w", err)
-		}
-	}
-	// Same heavy-job class as Layout: a full workload scan pool.
-	algo.AcquireSearchSlot()
-	defer algo.ReleaseSearchSlot()
-	start := time.Now()
-	rep, err := replayLoaded(tw, e, algorithm, cfg, model)
-	if err != nil {
-		return nil, err
-	}
-	rep.RowsFull = tw.Table.Rows
-	rep.Elapsed = time.Since(start)
-	return rep, nil
+	return run(tw, partition.Partitioning{}, e, algorithm, cfg, scanRunner)
 }
 
 // materialize samples the table to cfg.MaxRows, builds the engine for the
@@ -372,21 +309,87 @@ func materialize(tw schema.TableWorkload, layout partition.Partitioning, cfg Con
 	return e, nil
 }
 
-// replayLoaded runs the query-parallel scan pool over a loaded engine and
-// assembles the report against the engine's current layout. Scan keeps all
-// state in local cursors, so concurrent scans over one loaded engine are
-// safe; results land at their query's index and the aggregation below runs
-// in query order, keeping every reported number independent of the worker
-// count.
-func replayLoaded(tw schema.TableWorkload, e *storage.Engine, algorithm string, cfg Config, model cost.Model) (*TableReplay, error) {
-	layout := e.Layout()
-	sample := layout.Table
-	parts := layout.Canonical().Parts
+// queryRunner executes query i over a loaded engine and returns what the
+// engine measured plus the attribute set the prediction must price.
+type queryRunner func(i int, q schema.TableQuery) (storage.ScanStats, schema.Set, error)
+
+// scanRunner is the monolithic path: Engine.Scan, priced on exactly the
+// query's attributes. Scan keeps all state in local cursors, so concurrent
+// scans over one loaded engine are safe.
+func scanRunner(e *storage.Engine, _ Config) queryRunner {
+	return func(_ int, q schema.TableQuery) (storage.ScanStats, schema.Set, error) {
+		stats, err := e.Scan(q.Attrs)
+		if err != nil {
+			return stats, 0, fmt.Errorf("replay: scan %s/%s: %w", e.Table().Name, q.ID, err)
+		}
+		return stats, q.Attrs, nil
+	}
+}
+
+// run is the one report routine behind Layout, OnEngine, and Operators;
+// the paths differ only in the per-query runner newRunner builds over the
+// loaded engine. With a nil engine it validates the layout and
+// materializes it (closing the engine after); with a caller's engine it
+// checks the engine stores tw's table and re-syncs its cache line. Either
+// way it runs under a search slot, fans the queries out over cfg.Workers,
+// and assembles the report against the engine's current layout. Results
+// land at their query's index and the totals are summed in query order, so
+// no reported number depends on the worker count.
+func run(tw schema.TableWorkload, layout partition.Partitioning, e *storage.Engine, algorithm string, cfg Config,
+	newRunner func(*storage.Engine, Config) queryRunner) (*TableReplay, error) {
+	cfg, model, err := cfg.normalized()
+	if err != nil {
+		return nil, err
+	}
+	if tw.Table == nil {
+		return nil, fmt.Errorf("replay: nil table")
+	}
+	if e == nil {
+		if layout.Table != tw.Table {
+			return nil, fmt.Errorf("replay: layout partitions %v, workload is over %s", layout.Table, tw.Table.Name)
+		}
+		if err := layout.Validate(); err != nil {
+			return nil, fmt.Errorf("replay: %w", err)
+		}
+	} else {
+		if e.Table() != tw.Table {
+			return nil, fmt.Errorf("replay: engine stores %s (%d rows), workload is over %s (%d rows)",
+				e.Table().Name, e.Table().Rows, tw.Table.Name, tw.Table.Rows)
+		}
+		// The caller built the engine, possibly with a different device's
+		// line granularity; re-sync it to the model's so measured cache
+		// lines are counted in the units the model prices them.
+		if line := cfg.Disk.CacheLineSize; line > 0 {
+			if err := e.SetCacheLine(line); err != nil {
+				return nil, fmt.Errorf("replay: %w", err)
+			}
+		}
+	}
+	// A replay materializes up to MaxRows of real pages and scans them with
+	// a worker pool — the same class of heavy job as a search. Drawing from
+	// the process-wide gate bounds concurrent replays (stacked fan-outs,
+	// parallel /replay requests) by the core count instead of letting each
+	// request hold its own table copy and pool. No caller holds a slot
+	// while invoking a replay, so this cannot deadlock.
+	algo.AcquireSearchSlot()
+	defer algo.ReleaseSearchSlot()
+	start := time.Now()
+	if e == nil {
+		if e, err = materialize(tw, layout, cfg); err != nil {
+			return nil, err
+		}
+		defer e.Close()
+	}
+
+	runQuery := newRunner(e, cfg)
+	loaded := e.Layout()
+	sample := loaded.Table
+	parts := loaded.Canonical().Parts
 	rep := &TableReplay{
 		Table:        sample.Name,
 		Algorithm:    algorithm,
-		Layout:       layout,
-		RowsFull:     sample.Rows,
+		Layout:       loaded,
+		RowsFull:     tw.Table.Rows,
 		RowsReplayed: e.Rows(),
 		Model:        model.Name(),
 		Backend:      cfg.Backend,
@@ -401,9 +404,9 @@ func replayLoaded(tw schema.TableWorkload, e *storage.Engine, algorithm string, 
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			stats, err := e.Scan(q.Attrs)
+			stats, priced, err := runQuery(i, q)
 			if err != nil {
-				errs[i] = fmt.Errorf("replay: scan %s/%s: %w", sample.Name, q.ID, err)
+				errs[i] = err
 				return
 			}
 			measured, err := measuredSeconds(model, stats)
@@ -416,9 +419,9 @@ func replayLoaded(tw schema.TableWorkload, e *storage.Engine, algorithm string, 
 				Weight:           q.Weight,
 				Stats:            stats,
 				MeasuredSeconds:  measured,
-				PredictedSeconds: model.QueryCost(sample, parts, q.Attrs),
-				PredictedBytes:   cost.ScanBytes(sample, parts, q.Attrs, cfg.Disk.BlockSize),
-				PredictedSeeks:   predictedSeeks(sample, parts, q.Attrs, cfg.Disk),
+				PredictedSeconds: model.QueryCost(sample, parts, priced),
+				PredictedBytes:   cost.ScanBytes(sample, parts, priced, cfg.Disk.BlockSize),
+				PredictedSeeks:   predictedSeeks(sample, parts, priced, cfg.Disk),
 			}
 		}(i, q)
 	}
@@ -442,6 +445,7 @@ func replayLoaded(tw schema.TableWorkload, e *storage.Engine, algorithm string, 
 		rep.ReconJoins += q.Stats.ReconJoins
 		rep.Tuples += q.Stats.Tuples
 	}
+	rep.Elapsed = time.Since(start)
 	return rep, nil
 }
 

@@ -68,4 +68,9 @@ check internal/sketch 85.0
 # a dashboard that lies under exactly the load it was built to explain
 # (93.1% when the gate was added).
 check internal/telemetry 85.0
+# The advisor service: the once-cache's error drop and hit attribution, the
+# shared /replay-/query request path, and drift eviction decide what knivesd
+# answers from cache, so an untested branch here is a stale or misattributed
+# response (88.6% when the gate was added).
+check internal/advisor 85.0
 exit $fail
