@@ -74,6 +74,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -224,69 +225,169 @@ func runList() error {
 	return nil
 }
 
+// tableFlags is the flag block the table commands share: which tables of
+// which benchmark, the layout source, and the cost model with its device
+// overrides. addRunFlags adds the flags of the commands that materialize
+// and run layouts (replay, exec, migrate); their fields stay nil on
+// optimize, and backend/dir stay nil without a page store.
+type tableFlags struct {
+	benchmark, table, algorithm, model *string
+	sf                                 *float64
+	device                             func() (knives.Disk, error)
+
+	rows         *int64
+	workers      *int
+	seed         *int64
+	verbose      *bool
+	backend, dir *string
+}
+
+func addTableFlags(fs *flag.FlagSet, algoDefault, algoHelp string) *tableFlags {
+	return &tableFlags{
+		benchmark: fs.String("benchmark", "tpch", "benchmark: tpch or ssb"),
+		sf:        fs.Float64("sf", 10, "scale factor (0 = default 10)"),
+		table:     fs.String("table", "all", "table name or all"),
+		algorithm: fs.String("algorithm", algoDefault, algoHelp),
+		model:     fs.String("model", "hdd", "cost model: hdd, ssd, or mm"),
+		device:    devflag.Register(fs),
+	}
+}
+
+// layoutSourceHelp is the -algorithm help of replay and exec.
+const layoutSourceHelp = "layout source: an algorithm name, Row, Column, or advisor (portfolio winner)"
+
+func (f *tableFlags) addRunFlags(fs *flag.FlagSet, store bool) {
+	f.rows = fs.Int64("rows", 0, "max rows materialized per table (0 = default)")
+	f.workers = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never changes the numbers")
+	f.seed = fs.Int64("seed", 1, "data generator seed")
+	f.verbose = fs.Bool("verbose", false, "print a per-step timing breakdown to stderr")
+	if store {
+		f.backend = fs.String("backend", "mem", "partition page store: mem or file")
+		f.dir = fs.String("dir", "", "directory for -backend file (default: a fresh temp dir)")
+	}
+}
+
+// checkRows rejects a negative -rows before any portfolio search runs.
+func (f *tableFlags) checkRows() error {
+	if f.rows != nil && *f.rows < 0 {
+		return usageError{err: fmt.Errorf("-rows %d must be non-negative", *f.rows)}
+	}
+	return nil
+}
+
+// resolve builds the benchmark, checks -rows, runs the command's own usage
+// check (nil for none), and resolves the device-overridden cost model — in
+// that order, which fixes the error a bad command line reports first.
+func (f *tableFlags) resolve(check func() error) (*knives.Benchmark, knives.Disk, knives.CostModel, error) {
+	var override knives.Disk
+	bench, err := knives.BenchmarkByName(*f.benchmark, *f.sf)
+	if err != nil {
+		return nil, override, nil, err
+	}
+	if err := f.checkRows(); err != nil {
+		return nil, override, nil, err
+	}
+	if check != nil {
+		if err := check(); err != nil {
+			return nil, override, nil, err
+		}
+	}
+	if override, err = f.device(); err != nil {
+		return nil, override, nil, usageError{err: err}
+	}
+	model, err := knives.CostModelByName(*f.model, override)
+	return bench, override, model, err
+}
+
+// storeDir returns the directory of the page store: -dir, or for
+// -backend file without one a fresh temp dir that cleanup removes.
+func (f *tableFlags) storeDir(prefix string) (dir string, cleanup func(), err error) {
+	if *f.backend != "file" || *f.dir != "" {
+		return *f.dir, func() {}, nil
+	}
+	tmp, err := os.MkdirTemp("", prefix)
+	if err != nil {
+		return "", nil, err
+	}
+	return tmp, func() { os.RemoveAll(tmp) }, nil
+}
+
+// errExecDiverged is the failure of replay and exec when any measured cost
+// differs from the cost model's prediction.
+var errExecDiverged = errors.New("measured execution diverged from the cost model (see deltas above)")
+
+// eachTable runs fn on every table -table selects, in benchmark order. It
+// returns fn's first error, fails when no table matches, and — after every
+// table ran — returns diverged if any fn reported an inexact result.
+func (f *tableFlags) eachTable(bench *knives.Benchmark, diverged error, fn func(tw knives.TableWorkload) (exact bool, err error)) error {
+	matched, allExact := false, true
+	for _, tw := range bench.TableWorkloads() {
+		if *f.table != "all" && tw.Table.Name != *f.table {
+			continue
+		}
+		matched = true
+		exact, err := fn(tw)
+		if err != nil {
+			return err
+		}
+		allExact = allExact && exact
+	}
+	if !matched {
+		return fmt.Errorf("benchmark %s has no table %q", bench.Name, *f.table)
+	}
+	if !allExact {
+		return diverged
+	}
+	return nil
+}
+
 func runOptimize(args []string) error {
 	fs := flag.NewFlagSet("optimize", flag.ContinueOnError)
-	benchName := fs.String("benchmark", "tpch", "benchmark: tpch or ssb")
-	sf := fs.Float64("sf", 10, "scale factor (0 = default 10)")
-	table := fs.String("table", "all", "table name or all")
-	algoName := fs.String("algorithm", "all", "algorithm name or all")
-	modelName := fs.String("model", "hdd", "cost model: hdd, ssd, or mm")
-	devf := devflag.Register(fs)
+	f := addTableFlags(fs, "all", "algorithm name or all")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-
-	bench, err := knives.BenchmarkByName(*benchName, *sf)
-	if err != nil {
-		return err
-	}
-	override, err := devf()
-	if err != nil {
-		return usageError{err: err}
-	}
-	model, err := knives.CostModelByName(*modelName, override)
+	bench, _, model, err := f.resolve(nil)
 	if err != nil {
 		return err
 	}
 
 	var algos []knives.Algorithm
-	if *algoName == "all" {
+	if *f.algorithm == "all" {
 		algos = knives.Algorithms()
 	} else {
-		a, err := knives.AlgorithmByName(*algoName)
+		a, err := knives.AlgorithmByName(*f.algorithm)
 		if err != nil {
 			return err
 		}
 		algos = []knives.Algorithm{a}
 	}
+	return f.eachTable(bench, nil, func(tw knives.TableWorkload) (bool, error) {
+		optimizeTable(os.Stdout, tw, model, algos)
+		return true, nil
+	})
+}
 
-	matched := false
-	for _, tw := range bench.TableWorkloads() {
-		if *table != "all" && tw.Table.Name != *table {
+// optimizeTable prints one table's Row and Column baselines and every
+// algorithm's layout, or the error an algorithm failed with (such as a
+// workload wider than its enumeration cap).
+func optimizeTable(w io.Writer, tw knives.TableWorkload, model knives.CostModel, algos []knives.Algorithm) {
+	fmt.Fprintf(w, "table %s (%d rows, %d attrs, %d queries)\n",
+		tw.Table.Name, tw.Table.Rows, tw.Table.NumAttrs(), len(tw.Queries))
+	rowC := knives.WorkloadCost(model, tw, knives.RowLayout(tw.Table))
+	colC := knives.WorkloadCost(model, tw, knives.ColumnLayout(tw.Table))
+	fmt.Fprintf(w, "  %-10s cost=%12.4f\n", "Row", rowC)
+	fmt.Fprintf(w, "  %-10s cost=%12.4f\n", "Column", colC)
+	for _, a := range algos {
+		res, err := a.Partition(tw, model)
+		if err != nil {
+			fmt.Fprintf(w, "  %-10s error: %v\n", a.Name(), err)
 			continue
 		}
-		matched = true
-		fmt.Printf("table %s (%d rows, %d attrs, %d queries)\n",
-			tw.Table.Name, tw.Table.Rows, tw.Table.NumAttrs(), len(tw.Queries))
-		rowC := knives.WorkloadCost(model, tw, knives.RowLayout(tw.Table))
-		colC := knives.WorkloadCost(model, tw, knives.ColumnLayout(tw.Table))
-		fmt.Printf("  %-10s cost=%12.4f\n", "Row", rowC)
-		fmt.Printf("  %-10s cost=%12.4f\n", "Column", colC)
-		for _, a := range algos {
-			res, err := a.Partition(tw, model)
-			if err != nil {
-				fmt.Printf("  %-10s error: %v\n", a.Name(), err)
-				continue
-			}
-			fmt.Printf("  %-10s cost=%12.4f  candidates=%-9d opt=%v\n    %s\n",
-				a.Name(), res.Cost, res.Stats.Candidates, res.Stats.Duration, res.Partitioning)
-		}
-		fmt.Println()
+		fmt.Fprintf(w, "  %-10s cost=%12.4f  candidates=%-9d opt=%v\n    %s\n",
+			a.Name(), res.Cost, res.Stats.Candidates, res.Stats.Duration, res.Partitioning)
 	}
-	if !matched {
-		return fmt.Errorf("benchmark %s has no table %q", bench.Name, *table)
-	}
-	return nil
+	fmt.Fprintln(w)
 }
 
 func runAdvise(args []string) error {
@@ -468,102 +569,58 @@ func runObserve(args []string) error {
 
 func runReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
-	benchName := fs.String("benchmark", "tpch", "benchmark: tpch or ssb")
-	sf := fs.Float64("sf", 10, "scale factor (0 = default 10)")
-	table := fs.String("table", "all", "table name or all")
-	algoName := fs.String("algorithm", "advisor",
-		"layout source: an algorithm name, Row, Column, or advisor (portfolio winner)")
-	modelName := fs.String("model", "hdd", "cost model: hdd, ssd, or mm")
-	devf := devflag.Register(fs)
-	rows := fs.Int64("rows", 0, "max rows materialized per table (0 = default)")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never changes the numbers")
-	seed := fs.Int64("seed", 1, "data generator seed")
-	backend := fs.String("backend", "mem", "partition page store: mem or file")
-	dir := fs.String("dir", "", "directory for -backend file (default: a fresh temp dir)")
-	verbose := fs.Bool("verbose", false, "print a per-step timing breakdown to stderr")
+	f := addTableFlags(fs, "advisor", layoutSourceHelp)
+	f.addRunFlags(fs, true)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	vt := newVTimer(*verbose)
+	vt := newVTimer(*f.verbose)
 	defer vt.total()
 
-	bench, err := knives.BenchmarkByName(*benchName, *sf)
+	bench, override, model, err := f.resolve(nil)
 	if err != nil {
 		return err
 	}
-	if *rows < 0 {
-		// Reject before any portfolio search runs, not after.
-		return usageError{err: fmt.Errorf("-rows %d must be non-negative", *rows)}
-	}
-	override, err := devf()
-	if err != nil {
-		return usageError{err: err}
-	}
-	model, err := knives.CostModelByName(*modelName, override)
+	dir, cleanup, err := f.storeDir("knives-replay-")
 	if err != nil {
 		return err
 	}
+	defer cleanup()
 	cfg := knives.ReplayConfig{
-		Model:   *modelName,
+		Model:   *f.model,
 		Disk:    override,
-		MaxRows: *rows,
-		Workers: *workers,
-		Seed:    *seed,
-		Backend: *backend,
-		Dir:     *dir,
-	}
-	if *backend == "file" && *dir == "" {
-		tmp, err := os.MkdirTemp("", "knives-replay-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		cfg.Dir = tmp
+		MaxRows: *f.rows,
+		Workers: *f.workers,
+		Seed:    *f.seed,
+		Backend: *f.backend,
+		Dir:     dir,
 	}
 
 	// The advisor path replays each table's portfolio winner; a named
 	// algorithm (or Row/Column) replays that layout family everywhere.
 	// Advice is computed per matched table, so -table never searches the
 	// rest of the benchmark.
-	advisorMode := strings.EqualFold(*algoName, "advisor")
-	matched := false
-	allExact := true
-	for _, tw := range bench.TableWorkloads() {
-		if *table != "all" && tw.Table.Name != *table {
-			continue
-		}
-		matched = true
+	advisorMode := strings.EqualFold(*f.algorithm, "advisor")
+	return f.eachTable(bench, errExecDiverged, func(tw knives.TableWorkload) (bool, error) {
 		var rep *knives.TableReplay
+		var err error
 		if advisorMode {
 			advice, err := knives.AdviseTable(tw, model)
 			if err != nil {
-				return err
+				return false, err
 			}
 			vt.step("advise " + tw.Table.Name)
-			rep, err = knives.ReplayAdvice(tw, advice, cfg)
-			if err != nil {
-				return err
+			if rep, err = knives.ReplayAdvice(tw, advice, cfg); err != nil {
+				return false, err
 			}
-		} else {
-			rep, err = knives.ReplayAlgorithm(tw, *algoName, cfg)
-			if err != nil {
-				return err
-			}
+		} else if rep, err = knives.ReplayAlgorithm(tw, *f.algorithm, cfg); err != nil {
+			return false, err
 		}
 		vt.step("replay " + tw.Table.Name)
 		fmt.Print(rep)
 		fmt.Println()
-		if !rep.Exact() {
-			allExact = false
-		}
-	}
-	if !matched {
-		return fmt.Errorf("benchmark %s has no table %q", bench.Name, *table)
-	}
-	if !allExact {
-		return fmt.Errorf("measured execution diverged from the cost model (see deltas above)")
-	}
-	return nil
+		return rep.Exact(), nil
+	})
 }
 
 // runExec runs the workload as streaming σ/π/⋈ operator pipelines over
@@ -572,16 +629,8 @@ func runReplay(args []string) error {
 // bit for bit.
 func runExec(args []string) error {
 	fs := flag.NewFlagSet("exec", flag.ContinueOnError)
-	benchName := fs.String("benchmark", "tpch", "benchmark: tpch or ssb")
-	sf := fs.Float64("sf", 10, "scale factor (0 = default 10)")
-	table := fs.String("table", "all", "table name or all")
-	algoName := fs.String("algorithm", "advisor",
-		"layout source: an algorithm name, Row, Column, or advisor (portfolio winner)")
-	modelName := fs.String("model", "hdd", "cost model: hdd, ssd, or mm")
-	devf := devflag.Register(fs)
-	rows := fs.Int64("rows", 0, "max rows materialized per table (0 = default)")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never changes the numbers")
-	seed := fs.Int64("seed", 1, "data generator seed")
+	f := addTableFlags(fs, "advisor", layoutSourceHelp)
+	f.addRunFlags(fs, false)
 	execMode := fs.String("exec", "row", "pipeline execution mode: row (oracle) or vector (batch-at-a-time); never changes the numbers")
 	batch := fs.Int("batch", 0, "vector-mode rows per batch (0 = default)")
 	execWorkers := fs.Int("exec-workers", 0, "vector-mode morsel-parallel leaf scans per pipeline (<= 1 = synchronous)")
@@ -591,14 +640,13 @@ func runExec(args []string) error {
 	server := fs.String("server", "", "execute via a running knivesd at this base URL (POST /query)")
 	retries := fs.Int("retries", 3, "total attempts per request in -server mode (429/503/transport errors retry)")
 	retryDelay := fs.Duration("retry-delay", 100*time.Millisecond, "base backoff between -server retries (doubles per attempt)")
-	verbose := fs.Bool("verbose", false, "print a per-step timing breakdown to stderr")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	vt := newVTimer(*verbose)
+	vt := newVTimer(*f.verbose)
 	defer vt.total()
-	if *rows < 0 {
-		return usageError{err: fmt.Errorf("-rows %d must be non-negative", *rows)}
+	if err := f.checkRows(); err != nil {
+		return err
 	}
 	if (*selTable == "") != (*selColumn == "") {
 		return usageError{err: fmt.Errorf("-select-table and -select-column go together")}
@@ -614,15 +662,15 @@ func runExec(args []string) error {
 		client := advisor.NewClient(*server)
 		client.Retry = advisor.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryDelay}
 		req := advisor.QueryRequest{
-			Benchmark:   *benchName,
-			ScaleFactor: *sf,
-			MaxRows:     *rows,
-			Seed:        *seed,
-			Workers:     *workers,
+			Benchmark:   *f.benchmark,
+			ScaleFactor: *f.sf,
+			MaxRows:     *f.rows,
+			Seed:        *f.seed,
+			Workers:     *f.workers,
 			Exec:        *execMode,
 			BatchSize:   *batch,
 			ExecWorkers: *execWorkers,
-			Model:       &advisor.ModelSpec{Name: *modelName},
+			Model:       &advisor.ModelSpec{Name: *f.model},
 		}
 		if *selTable != "" {
 			req.Selection = &advisor.SelectionSpec{Table: *selTable, Column: *selColumn, Bound: uint32(*selBound)}
@@ -634,7 +682,7 @@ func runExec(args []string) error {
 		vt.step("query via server")
 		allExact := true
 		for _, rep := range resp.Reports {
-			if *table != "all" && rep.Table != *table {
+			if *f.table != "all" && rep.Table != *f.table {
 				continue
 			}
 			from := "executed"
@@ -656,139 +704,93 @@ func runExec(args []string) error {
 			allExact = allExact && rep.Exact
 		}
 		if !allExact {
-			return fmt.Errorf("measured execution diverged from the cost model (see deltas above)")
+			return errExecDiverged
 		}
 		return nil
 	}
 
-	bench, err := knives.BenchmarkByName(*benchName, *sf)
-	if err != nil {
-		return err
-	}
-	override, err := devf()
-	if err != nil {
-		return usageError{err: err}
-	}
-	model, err := knives.CostModelByName(*modelName, override)
+	bench, override, model, err := f.resolve(nil)
 	if err != nil {
 		return err
 	}
 	cfg := knives.ReplayConfig{
-		Model:       *modelName,
+		Model:       *f.model,
 		Disk:        override,
-		MaxRows:     *rows,
-		Workers:     *workers,
-		Seed:        *seed,
+		MaxRows:     *f.rows,
+		Workers:     *f.workers,
+		Seed:        *f.seed,
 		ExecMode:    *execMode,
 		BatchSize:   *batch,
 		ExecWorkers: *execWorkers,
 	}
 
-	advisorMode := strings.EqualFold(*algoName, "advisor")
-	matched := false
-	allExact := true
-	for _, tw := range bench.TableWorkloads() {
-		if *table != "all" && tw.Table.Name != *table {
-			continue
-		}
-		matched = true
+	advisorMode := strings.EqualFold(*f.algorithm, "advisor")
+	return f.eachTable(bench, errExecDiverged, func(tw knives.TableWorkload) (bool, error) {
 		var sel *knives.Selection
 		if *selTable == tw.Table.Name && *selTable != "" {
 			attr := tw.Table.AttrIndex(*selColumn)
 			if attr < 0 {
-				return fmt.Errorf("table %s has no column %q", tw.Table.Name, *selColumn)
+				return false, fmt.Errorf("table %s has no column %q", tw.Table.Name, *selColumn)
 			}
 			sel = &knives.Selection{Attr: attr, Bound: uint32(*selBound)}
 		}
 		var rep *knives.OperatorReplay
+		var err error
 		if advisorMode {
 			advice, err := knives.AdviseTable(tw, model)
 			if err != nil {
-				return err
+				return false, err
 			}
 			vt.step("advise " + tw.Table.Name)
-			rep, err = knives.ExecuteAdvice(tw, advice, cfg, sel)
-			if err != nil {
-				return err
+			if rep, err = knives.ExecuteAdvice(tw, advice, cfg, sel); err != nil {
+				return false, err
 			}
-		} else {
-			rep, err = knives.ExecuteAlgorithm(tw, *algoName, cfg, sel)
-			if err != nil {
-				return err
-			}
+		} else if rep, err = knives.ExecuteAlgorithm(tw, *f.algorithm, cfg, sel); err != nil {
+			return false, err
 		}
 		vt.step("execute " + tw.Table.Name)
 		fmt.Print(rep)
 		fmt.Println()
-		allExact = allExact && rep.Exact()
-	}
-	if !matched {
-		return fmt.Errorf("benchmark %s has no table %q", bench.Name, *table)
-	}
-	if !allExact {
-		return fmt.Errorf("measured execution diverged from the cost model (see deltas above)")
-	}
-	return nil
+		return rep.Exact(), nil
+	})
 }
 
 func runMigrate(args []string) error {
 	fs := flag.NewFlagSet("migrate", flag.ContinueOnError)
-	benchName := fs.String("benchmark", "tpch", "benchmark: tpch or ssb")
-	sf := fs.Float64("sf", 10, "scale factor (0 = default 10)")
-	table := fs.String("table", "all", "table name or all")
-	algoName := fs.String("algorithm", "advisor",
+	f := addTableFlags(fs, "advisor",
 		"layout source for both endpoints: an algorithm name or advisor (portfolio winner)")
-	modelName := fs.String("model", "hdd", "cost model: hdd, ssd, or mm")
-	devf := devflag.Register(fs)
+	f.addRunFlags(fs, true)
 	drift := fs.Float64("drift", 0.5, "fraction of the workload replaced by perturbed queries")
 	driftSeed := fs.Int64("drift-seed", 42, "seed for the deterministic workload drift")
 	window := fs.Int64("window", 0, "break-even horizon bound in queries (0 = default)")
-	rows := fs.Int64("rows", 0, "max rows materialized per table (0 = default)")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never changes the numbers")
-	seed := fs.Int64("seed", 1, "data generator seed")
-	backend := fs.String("backend", "mem", "partition page store: mem or file")
-	dir := fs.String("dir", "", "directory for -backend file (default: a fresh temp dir)")
-	verbose := fs.Bool("verbose", false, "print a per-step timing breakdown to stderr")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	vt := newVTimer(*verbose)
+	vt := newVTimer(*f.verbose)
 	defer vt.total()
 
-	bench, err := knives.BenchmarkByName(*benchName, *sf)
-	if err != nil {
-		return err
-	}
-	if *rows < 0 {
-		return usageError{err: fmt.Errorf("-rows %d must be non-negative", *rows)}
-	}
-	if *drift < 0 || *drift > 1 {
-		return usageError{err: fmt.Errorf("-drift %v outside [0, 1]", *drift)}
-	}
-	override, err := devf()
-	if err != nil {
-		return usageError{err: err}
-	}
-	model, err := knives.CostModelByName(*modelName, override)
-	if err != nil {
-		return err
-	}
-	cfg := knives.MigrationConfig{
-		Model:   *modelName,
-		Disk:    override,
-		MaxRows: *rows,
-		Workers: *workers,
-		Seed:    *seed,
-		Backend: *backend,
-		Dir:     *dir,
-	}
-	if *backend == "file" && *dir == "" {
-		tmp, err := os.MkdirTemp("", "knives-migrate-")
-		if err != nil {
-			return err
+	bench, override, model, err := f.resolve(func() error {
+		if *drift < 0 || *drift > 1 {
+			return usageError{err: fmt.Errorf("-drift %v outside [0, 1]", *drift)}
 		}
-		defer os.RemoveAll(tmp)
-		cfg.Dir = tmp
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	dir, cleanup, err := f.storeDir("knives-migrate-")
+	if err != nil {
+		return err
+	}
+	defer cleanup()
+	cfg := knives.MigrationConfig{
+		Model:   *f.model,
+		Disk:    override,
+		MaxRows: *f.rows,
+		Workers: *f.workers,
+		Seed:    *f.seed,
+		Backend: *f.backend,
+		Dir:     dir,
 	}
 	// Validate the execution config before any portfolio search runs: an
 	// unknown backend must fail fast, not after minutes of optimization
@@ -802,14 +804,14 @@ func runMigrate(args []string) error {
 	// drifts. The advisor path races the portfolio; a named algorithm uses
 	// that algorithm on both endpoints.
 	layoutFor := func(tw knives.TableWorkload) (knives.Partitioning, string, error) {
-		if strings.EqualFold(*algoName, "advisor") {
+		if strings.EqualFold(*f.algorithm, "advisor") {
 			advice, err := knives.AdviseTable(tw, model)
 			if err != nil {
 				return knives.Partitioning{}, "", err
 			}
 			return advice.Layout, advice.Algorithm, nil
 		}
-		a, err := knives.AlgorithmByName(*algoName)
+		a, err := knives.AlgorithmByName(*f.algorithm)
 		if err != nil {
 			return knives.Partitioning{}, "", err
 		}
@@ -820,51 +822,37 @@ func runMigrate(args []string) error {
 		return res.Partitioning, a.Name(), nil
 	}
 
-	matched := false
-	allExact := true
-	for _, tw := range bench.TableWorkloads() {
-		if *table != "all" && tw.Table.Name != *table {
-			continue
-		}
-		matched = true
+	diverged := errors.New("migration diverged: measured cost != predicted, or the migrated store failed verification (see above)")
+	return f.eachTable(bench, diverged, func(tw knives.TableWorkload) (bool, error) {
 		drifted := knives.DriftWorkload(tw, *drift, *driftSeed)
 		from, fromAlgo, err := layoutFor(tw)
 		if err != nil {
-			return err
+			return false, err
 		}
 		to, toAlgo, err := layoutFor(drifted)
 		if err != nil {
-			return err
+			return false, err
 		}
 		vt.step("advise endpoints " + tw.Table.Name)
 		plan, err := knives.MigratePlan(drifted, from, to, model, *window)
 		if err != nil {
-			return err
+			return false, err
 		}
 		plan.FromAlgorithm, plan.ToAlgorithm = fromAlgo, toAlgo
 		if plan.From.Equal(plan.To) {
 			fmt.Print(plan)
 			fmt.Println()
-			continue
+			return true, nil
 		}
 		rep, err := knives.MigrateExecute(drifted, plan, cfg)
 		if err != nil {
-			return err
+			return false, err
 		}
 		vt.step("migrate " + tw.Table.Name)
 		fmt.Print(rep)
 		fmt.Println()
-		if !rep.Exact() {
-			allExact = false
-		}
-	}
-	if !matched {
-		return fmt.Errorf("benchmark %s has no table %q", bench.Name, *table)
-	}
-	if !allExact {
-		return fmt.Errorf("migration diverged: measured cost != predicted, or the migrated store failed verification (see above)")
-	}
-	return nil
+		return rep.Exact(), nil
+	})
 }
 
 func runExperiment(args []string) error {

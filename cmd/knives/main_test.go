@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"knives"
@@ -69,6 +72,33 @@ func TestRunOptimizeSmallTable(t *testing.T) {
 	// Region at SF 0.01 is tiny; exercises the full code path quickly.
 	if err := runOptimize([]string{"-table", "region", "-sf", "0.01", "-algorithm", "HillClimb"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The portfolio lets Trojan abstain past its enumeration cap, but naming
+// Trojan directly, as optimize -algorithm Trojan does, still reports the
+// cap error for the table.
+func TestOptimizeTrojanReportsCapError(t *testing.T) {
+	cols := make([]knives.Column, 22)
+	for i := range cols {
+		cols[i] = knives.Column{Name: fmt.Sprintf("c%02d", i), Size: 8}
+	}
+	tab, err := knives.NewTable("w", 100_000, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw := knives.TableWorkload{Table: tab}
+	for i := 0; i < 21; i++ {
+		tw.Queries = append(tw.Queries, knives.TableQuery{ID: fmt.Sprint(i), Weight: 1, Attrs: knives.Attrs(i, (i+1)%21)})
+	}
+	trojan, err := knives.AlgorithmByName("Trojan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	optimizeTable(&out, tw, knives.NewHDDModel(knives.DefaultDisk()), []knives.Algorithm{trojan})
+	if want := "Trojan     error: trojan: table w has 21 referenced attrs, cap is 20"; !strings.Contains(out.String(), want) {
+		t.Errorf("optimize output lacks %q:\n%s", want, out.String())
 	}
 }
 

@@ -13,6 +13,7 @@ package advisor
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -36,7 +37,8 @@ type TableAdvice struct {
 	Cost float64
 	// RowCost and ColumnCost are the baseline costs for comparison.
 	RowCost, ColumnCost float64
-	// PerAlgorithm holds every algorithm's cost, for transparency.
+	// PerAlgorithm holds every algorithm's cost, for transparency; a member
+	// that abstained on a workload wider than its cap has no entry.
 	PerAlgorithm map[string]float64
 }
 
@@ -135,7 +137,9 @@ func normalizeQueryWeights(queries []schema.TableQuery) []schema.TableQuery {
 
 // AdviseTable races the portfolio on one table's workload and returns the
 // cheapest layout found, falling back to column layout when nothing beats
-// it. The portfolio members run concurrently (each under a process-wide
+// it. A member whose enumeration cap the workload exceeds
+// (algo.ErrInputTooLarge) abstains: it is left out of the pick and of
+// PerAlgorithm. Any other member error fails the request. The portfolio members run concurrently (each under a process-wide
 // search slot); the winner is picked in portfolio order with a strict
 // comparison, so the result is identical to a sequential run.
 func AdviseTable(tw schema.TableWorkload, m cost.Model) (TableAdvice, error) {
@@ -158,6 +162,7 @@ func AdviseTableContext(ctx context.Context, tw schema.TableWorkload, m cost.Mod
 	}
 	algos := portfolio()
 	results := make([]algo.Result, len(algos))
+	abstained := make([]bool, len(algos))
 	err := fanOut(len(algos), func(i int) error {
 		_, gateSp := telemetry.StartSpan(ctx, "gate-wait "+algos[i].Name())
 		err := algo.AcquireSearchSlotCtx(ctx)
@@ -169,6 +174,12 @@ func AdviseTableContext(ctx context.Context, tw schema.TableWorkload, m cost.Mod
 		_, searchSp := telemetry.StartSpan(ctx, "search "+algos[i].Name())
 		res, err := algos[i].Partition(tw, m)
 		searchSp.End()
+		if errors.Is(err, algo.ErrInputTooLarge) {
+			// Wider than this member's enumeration cap: it abstains, and
+			// the winner is picked among the others.
+			abstained[i] = true
+			return nil
+		}
 		if err != nil {
 			return fmt.Errorf("advisor: %s on %s: %w", algos[i].Name(), tw.Table.Name, err)
 		}
@@ -178,11 +189,15 @@ func AdviseTableContext(ctx context.Context, tw schema.TableWorkload, m cost.Mod
 	if err != nil {
 		return TableAdvice{}, err
 	}
-	names := make([]string, len(algos))
+	var names []string
+	var ran []algo.Result
 	for i, a := range algos {
-		names[i] = a.Name()
+		if !abstained[i] {
+			names = append(names, a.Name())
+			ran = append(ran, results[i])
+		}
 	}
-	return pickCheapest(tw, m, names, results), nil
+	return pickCheapest(tw, m, names, ran), nil
 }
 
 // pickCheapest assembles advice from per-algorithm results, comparing in

@@ -1,9 +1,12 @@
 package advisor
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"knives/internal/algorithms"
+	"knives/internal/attrset"
 	"knives/internal/cost"
 	"knives/internal/partition"
 	"knives/internal/schema"
@@ -122,5 +125,101 @@ func TestAdviseTableNilModelDefaultsToHDD(t *testing.T) {
 	}
 	if adv.Cost != want.Cost || !adv.Layout.Equal(want.Layout) {
 		t.Errorf("nil model advice differs from default HDD advice")
+	}
+}
+
+// wideWorkload is a 24-column table "w" whose workload references its
+// first n columns, three per query, so n past 20 exceeds Trojan's
+// enumeration cap.
+func wideWorkload(t *testing.T, n int) schema.TableWorkload {
+	t.Helper()
+	cols := make([]schema.Column, 24)
+	for i := range cols {
+		cols[i] = schema.Column{Name: fmt.Sprintf("c%02d", i), Kind: schema.KindChar, Size: 4 + 4*(i%5)}
+	}
+	tab, err := schema.NewTable("w", 100_000, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw := schema.TableWorkload{Table: tab}
+	for i := 0; i < n; i++ {
+		tw.Queries = append(tw.Queries, schema.TableQuery{
+			ID:     fmt.Sprintf("q%d", i),
+			Weight: float64(1 + i%3),
+			Attrs:  attrset.Of(i, (i+1)%n, (i+5)%n),
+		})
+	}
+	return tw
+}
+
+// A workload wider than Trojan's cap makes Trojan abstain instead of
+// failing the whole portfolio: the advice leaves Trojan out of
+// PerAlgorithm and picks the cheapest of the members that ran.
+func TestAdviseTableAbstainsPastTrojanCap(t *testing.T) {
+	m := cost.NewHDD(cost.DefaultDisk())
+	if adv, err := AdviseTable(wideWorkload(t, 20), m); err != nil {
+		t.Fatal(err)
+	} else if _, ok := adv.PerAlgorithm["Trojan"]; !ok {
+		t.Error("Trojan abstained at 20 referenced attributes, within its cap")
+	}
+	for _, n := range []int{21, 24} {
+		tw := wideWorkload(t, n)
+		adv, err := AdviseTable(tw, m)
+		if err != nil {
+			t.Fatalf("%d referenced attributes: %v", n, err)
+		}
+		if _, ok := adv.PerAlgorithm["Trojan"]; ok {
+			t.Errorf("%d referenced attributes: PerAlgorithm has a Trojan entry", n)
+		}
+		wantAlgo, wantCost := "Column", adv.ColumnCost
+		ran := 0
+		for _, a := range algorithms.Heuristics() {
+			if a.Name() == "Trojan" {
+				continue
+			}
+			res, err := a.Partition(tw, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ran++
+			if got := adv.PerAlgorithm[a.Name()]; got != res.Cost {
+				t.Errorf("%d attrs: PerAlgorithm[%s] = %v, want %v", n, a.Name(), got, res.Cost)
+			}
+			if res.Cost < wantCost {
+				wantAlgo, wantCost = a.Name(), res.Cost
+			}
+		}
+		if len(adv.PerAlgorithm) != ran {
+			t.Errorf("%d attrs: PerAlgorithm has %d entries, want %d", n, len(adv.PerAlgorithm), ran)
+		}
+		if adv.Algorithm != wantAlgo || adv.Cost != wantCost {
+			t.Errorf("%d attrs: advice %s at %v, want the cheapest member %s at %v",
+				n, adv.Algorithm, adv.Cost, wantAlgo, wantCost)
+		}
+	}
+}
+
+// POST /advise answers 200 for a table past Trojan's cap.
+func TestServerAdvisePastTrojanCap(t *testing.T) {
+	_, _, client := newTestServer(t, Config{})
+	tw := wideWorkload(t, 24)
+	spec := TableSpec{Name: tw.Table.Name, Rows: tw.Table.Rows}
+	for _, c := range tw.Table.Columns {
+		spec.Columns = append(spec.Columns, ColumnSpec{Name: c.Name, Kind: "char", Size: c.Size})
+	}
+	req := AdviseRequest{Tables: []TableSpec{spec}}
+	for _, q := range tw.Queries {
+		req.Queries = append(req.Queries, QuerySpec{ID: q.ID, Weight: q.Weight,
+			Tables: map[string][]string{tw.Table.Name: tw.Table.AttrNames(q.Attrs)}})
+	}
+	resp, err := client.Advise(context.Background(), req)
+	if err != nil {
+		t.Fatalf("advise past Trojan's cap: %v", err)
+	}
+	if len(resp.Advice) != 1 || resp.Advice[0].Algorithm == "" {
+		t.Fatalf("advice: %+v", resp.Advice)
+	}
+	if _, ok := resp.Advice[0].PerAlgorithm["Trojan"]; ok {
+		t.Error("wire advice carries a Trojan cost past its cap")
 	}
 }

@@ -24,13 +24,38 @@ const DefaultObserveDedupWindow = 1024
 // verbatim, so an unbounded ID would be an unbounded memory lever.
 const maxBatchIDLen = 128
 
-// ObserveBatchID is ObserveBatch under a client batch ID: the first call
+// Observe is the service's one observation entry: every wire shape and
+// every Go caller feeds observed queries to the drift trackers through it.
+// Each entry of batches is one table's slice; outcome i answers
+// batches[i], and entries fail independently (see ingestBatches). When a
+// table's advised layout has drifted past the threshold, its advice is
+// recomputed from the observed log, the tracker updated, and the fresh
+// advice cached under the observed workload's fingerprint.
+//
+// Column names resolve inside the tracker lock, against the table's
+// CURRENT schema (resolveNamedLocked, the one validator): an unknown name
+// is ErrStaleSchema; an empty query, or a weight that is negative, NaN or
+// above 2^53, is ErrBadObservation. Weight 0 — the JSON default for an
+// omitted field — is coerced to 1, the convention /advise applies to its
+// workloads, so an unweighted observed query counts as one execution.
+//
+// Ingestion is at-least-once: a batch is journaled and joins the log
+// before its drift check runs, so a client retrying after a search error
+// or an expired deadline re-ingests it. The context bounds the shadow
+// search's slot wait and a drift recompute's portfolio fan-out, never the
+// ingestion. Concurrent batches for one table may both recompute; the
+// install from the longer log wins, which is at worst one redundant
+// search, never stale advice paired with a newer workload.
+//
+// batchID names the logical batch for redelivery dedup: the first call
 // with an ID ingests and records its outcomes in the dedup window; every
 // later call with the same ID answers those outcomes verbatim (dup=true)
-// without re-ingesting. An empty ID skips dedup entirely.
-func (s *Service) ObserveBatchID(ctx context.Context, batchID string, batches []TableObservation) (outs []ObserveOutcome, dup bool, err error) {
+// without re-ingesting. An empty ID skips dedup entirely. The only error
+// is an over-long ID (ErrBadObservation); per-entry failures ride the
+// outcomes.
+func (s *Service) Observe(ctx context.Context, batchID string, batches []TableObservation) (outs []ObserveOutcome, dup bool, err error) {
 	if batchID == "" {
-		return s.ObserveBatch(ctx, batches), false, nil
+		return s.ingestBatches(ctx, batches), false, nil
 	}
 	if len(batchID) > maxBatchIDLen {
 		return nil, false, fmt.Errorf("%w: batch id longer than %d bytes", ErrBadObservation, maxBatchIDLen)
@@ -39,6 +64,6 @@ func (s *Service) ObserveBatchID(ctx context.Context, batchID string, batches []
 	// single application: the retry blocks until the first attempt's
 	// outcomes exist, then answers them.
 	return s.observeSeen.Get(batchID, func() ([]ObserveOutcome, error) {
-		return s.ObserveBatch(ctx, batches), nil
+		return s.ingestBatches(ctx, batches), nil
 	})
 }

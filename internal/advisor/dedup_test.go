@@ -28,11 +28,11 @@ func TestObserveBatchIDDedup(t *testing.T) {
 	ctx := context.Background()
 	before := svc.Stats().ObservedQueries
 
-	outs1, dup1, err := svc.ObserveBatchID(ctx, "batch-1", batches)
+	outs1, dup1, err := svc.Observe(ctx, "batch-1", batches)
 	if err != nil || dup1 {
 		t.Fatalf("first delivery: outs=%v dup=%v err=%v", outs1, dup1, err)
 	}
-	outs2, dup2, err := svc.ObserveBatchID(ctx, "batch-1", batches)
+	outs2, dup2, err := svc.Observe(ctx, "batch-1", batches)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,18 +51,18 @@ func TestObserveBatchIDDedup(t *testing.T) {
 	}
 
 	// A DIFFERENT ID is a new logical batch and ingests again.
-	if _, dup3, err := svc.ObserveBatchID(ctx, "batch-2", batches); err != nil || dup3 {
+	if _, dup3, err := svc.Observe(ctx, "batch-2", batches); err != nil || dup3 {
 		t.Fatalf("fresh batch ID: dup=%v err=%v", dup3, err)
 	}
 	if got := svc.Stats().ObservedQueries - before; got != 4 {
 		t.Errorf("observed %d queries after a fresh ID, want 4", got)
 	}
 	// An empty ID skips dedup (pre-ID clients keep their behavior).
-	if _, dup, err := svc.ObserveBatchID(ctx, "", batches); err != nil || dup {
+	if _, dup, err := svc.Observe(ctx, "", batches); err != nil || dup {
 		t.Fatalf("empty batch ID: dup=%v err=%v", dup, err)
 	}
 	// An oversized ID is rejected before it can lever the window's memory.
-	if _, _, err := svc.ObserveBatchID(ctx, strings.Repeat("x", maxBatchIDLen+1), batches); !errors.Is(err, ErrBadObservation) {
+	if _, _, err := svc.Observe(ctx, strings.Repeat("x", maxBatchIDLen+1), batches); !errors.Is(err, ErrBadObservation) {
 		t.Errorf("oversized batch ID error = %v, want ErrBadObservation", err)
 	}
 }

@@ -21,8 +21,16 @@ import (
 var ErrStaleSchema = errors.New("advisor: observed attrs outside current table schema")
 
 // ErrBadObservation reports a malformed observed query (no attributes, or
-// a negative weight) — a client bug no amount of re-advising fixes.
+// a negative or oversized weight) — a client bug no amount of re-advising
+// fixes.
 var ErrBadObservation = errors.New("advisor: malformed observed query")
+
+// maxObservedWeight bounds an observed query's weight at 2^53, the largest
+// execution count a float64 holds exactly. Weights near the float64 limit
+// overflow the drift pricing to ±Inf or NaN, which no JSON answer can
+// carry: the tracker would answer /observe and GET /advice with empty
+// bodies until its window rolled past the query.
+const maxObservedWeight = 1 << 53
 
 // Tracker watches the live query stream of one registered table and decides
 // when the advice served for it has gone stale — the paper's Section 6.3
@@ -153,124 +161,15 @@ type DriftReport struct {
 	Recomputes int64 `json:"recomputes"`
 }
 
-// Observe folds a batch of queries into the log, re-runs the O2P shadow
-// over the pricer's snapshot, and recomputes the advice if it drifted past
-// the threshold. On recomputation it returns the fresh advice PAIRED with
-// the log snapshot it was computed from (taken under one critical
-// section), so the service caches exactly that workload's fingerprint —
-// never a newer advice under an older workload's key. The Fingerprint in
-// the recomputedAdvice is the one the tracker covered BEFORE the recompute
-// re-keyed it: the service evicts that key's replay reports, which were
-// computed for advice the drift just invalidated.
-//
-// The shadow run and the portfolio recompute execute outside the tracker
-// lock: a drift-triggered search on a big table must not stall concurrent
-// /advice and /observe traffic for that table. Concurrent Observe batches
-// may therefore both recompute; each installs the advice for its own
-// snapshot and the later install wins, which is at worst one redundant
-// search, never a stale pairing.
-//
-// Ingestion is at-least-once: the batch joins the log before the searches
-// run, so a client retrying after a search error re-ingests it. Searches
-// on validated input do not realistically fail (errors require an invalid
-// layout, which validated queries cannot produce), so this trade is taken
-// over the extra locking a staged commit would need.
-//
-// Weight semantics are uniform across every observation endpoint: weight 0
-// (the JSON default for an omitted field) is coerced to 1 during
-// validation, so an unweighted observed query counts as one execution —
-// the same convention /advise applies to its workloads. Negative and NaN
-// weights are ErrBadObservation.
-func (t *Tracker) Observe(ctx context.Context, queries []schema.TableQuery) (DriftReport, *recomputedAdvice, error) {
-	t.mu.Lock()
-	valid, err := t.validateLocked(queries)
-	if err != nil {
-		t.mu.Unlock()
-		return DriftReport{}, nil, err
-	}
-	return t.observeValidatedLocked(ctx, valid)
-}
-
-// ObserveNamed is Observe for queries carrying column NAMES: the names are
-// resolved against the tracker's current table under the same lock that
-// appends them, so a concurrent re-registration can neither rebind a name
-// to a different column index nor slip an out-of-range bitmask through.
-// Unknown names map to ErrStaleSchema — with name-based observation, an
-// unknown column almost always means the schema moved under the client.
-func (t *Tracker) ObserveNamed(ctx context.Context, named []ObservedQry) (DriftReport, *recomputedAdvice, error) {
-	t.mu.Lock()
-	queries, err := t.resolveNamedLocked(named)
-	if err != nil {
-		t.mu.Unlock()
-		return DriftReport{}, nil, err
-	}
-	return t.observeValidatedLocked(ctx, queries)
-}
-
-// observeValidatedLocked journals and applies one validated batch, then
-// releases t.mu and runs the drift check. The context bounds the searches'
-// slot waits, never the ingestion: by the time the shadow runs, the batch
-// is journaled and logged, and a deadline expiring mid-search reports an
-// error whose retry re-ingests (at-least-once).
-func (t *Tracker) observeValidatedLocked(ctx context.Context, queries []schema.TableQuery) (DriftReport, *recomputedAdvice, error) {
-	// Journal the batch before it joins the log (empty batches fold to
-	// nothing and are not journaled). A failed append returns the error
-	// with the log untouched; the client's retry re-sends the batch.
-	// Ingestion is at-least-once either way (see Observe), and the fold
-	// ingests the journaled copy exactly as ingestLocked does.
-	if t.jn != nil && len(queries) > 0 {
-		ev := statestore.Event{Type: statestore.EvObserve, Table: t.table.Name, Queries: toQueryRecs(queries)}
-		if err := t.jn.append(ev); err != nil {
-			t.mu.Unlock()
-			return DriftReport{}, nil, err
-		}
-	}
-	t.ingestLocked(queries)
-	in := t.driftInputLocked()
-	t.mu.Unlock()
-
-	// Nothing new observed: skip the shadow search — an empty poll must
-	// not burn a process-wide search slot re-pricing an unchanged stream.
-	if len(queries) == 0 {
-		return in.report(), nil, nil
-	}
-	return t.priceDrift(ctx, in)
-}
-
-// validateLocked checks a numeric observation batch against the CURRENT
-// table and returns a normalized copy (weight 0 coerced to 1). Validation
-// runs inside the lock: the caller may have built attr bitmasks against a
-// schema snapshot that a concurrent re-registration has since replaced
-// (setAdvice swaps t.table). Out-of-range attrs would price garbage; fail
-// cleanly and let the client re-advise instead. Caller holds t.mu.
-func (t *Tracker) validateLocked(queries []schema.TableQuery) ([]schema.TableQuery, error) {
-	all := t.table.AllAttrs()
-	out := make([]schema.TableQuery, 0, len(queries))
-	for _, q := range queries {
-		if q.Attrs.IsEmpty() {
-			return nil, fmt.Errorf(
-				"%w: query %s references no attributes", ErrBadObservation, q.ID)
-		}
-		if !all.ContainsAll(q.Attrs) {
-			return nil, fmt.Errorf(
-				"%w: query %s references %v of table %s (re-advise)",
-				ErrStaleSchema, q.ID, q.Attrs, t.table.Name)
-		}
-		if !(q.Weight >= 0) { // negated compare also rejects NaN
-			return nil, fmt.Errorf(
-				"%w: query %s has invalid weight %v", ErrBadObservation, q.ID, q.Weight)
-		}
-		if q.Weight == 0 {
-			q.Weight = 1
-		}
-		out = append(out, q)
-	}
-	return out, nil
-}
-
-// resolveNamedLocked resolves named observations against the tracker's
-// current table and normalizes weights exactly like validateLocked.
-// Caller holds t.mu.
+// resolveNamedLocked is the one observation validator: it resolves named
+// observations against the tracker's CURRENT table and returns the batch
+// with weight 0 coerced to 1. Resolution runs inside the lock so that a
+// concurrent re-registration (setAdvice swaps t.table) can neither rebind
+// a name to a different column index nor let an out-of-range attribute
+// through; an unknown name reads as ErrStaleSchema, because with
+// name-based observation it almost always means the schema moved under the
+// client. Empty queries and weights that are negative, NaN or above
+// maxObservedWeight are ErrBadObservation. Caller holds t.mu.
 func (t *Tracker) resolveNamedLocked(named []ObservedQry) ([]schema.TableQuery, error) {
 	queries := make([]schema.TableQuery, 0, len(named))
 	for i, oq := range named {
@@ -278,7 +177,7 @@ func (t *Tracker) resolveNamedLocked(named []ObservedQry) ([]schema.TableQuery, 
 			return nil, fmt.Errorf(
 				"%w: observed query %d references no columns", ErrBadObservation, i+1)
 		}
-		if !(oq.Weight >= 0) { // negated compare also rejects NaN
+		if !(oq.Weight >= 0 && oq.Weight <= maxObservedWeight) { // negated compare also rejects NaN
 			return nil, fmt.Errorf(
 				"%w: observed query %d has invalid weight %v", ErrBadObservation, i+1, oq.Weight)
 		}
@@ -428,7 +327,7 @@ func (t *Tracker) priceDrift(ctx context.Context, in driftInput) (DriftReport, *
 	// schema, and pairing advice computed for the old geometry with the
 	// new table would index out of range when priced; the generation
 	// counter catches this even when the re-registration reuses the same
-	// *schema.Table pointer — and (b) no sibling Observe already installed
+	// *schema.Table pointer — and (b) no sibling batch's drift check already installed
 	// advice computed from a LONGER log: within a generation the observed
 	// counter is monotone, so comparing snapshot positions makes the
 	// newest-log advice win regardless of which portfolio search finishes
@@ -471,13 +370,6 @@ func (t *Tracker) priceDrift(ctx context.Context, in driftInput) (DriftReport, *
 	// superseded it), report drift without claiming a recompute and hand
 	// nothing back to cache.
 	return rep, rec, nil
-}
-
-// Advice returns the tracker's current advice.
-func (t *Tracker) Advice() TableAdvice {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.advice
 }
 
 // State returns the current advice together with a snapshot of the observed

@@ -22,13 +22,12 @@ const DefaultIngestShards = 8
 // frames and the latency of the batch at the head of a long queue.
 const DefaultIngestGroup = 64
 
-// ingestJob is one observation batch riding the ingest stage: exactly one
-// of numeric/named is set. The submitter blocks on done; the shard leader
-// fills rep/err before closing it.
+// ingestJob is one observation batch riding the ingest stage. The
+// submitter blocks on done; the shard leader fills rep/err before closing
+// it.
 type ingestJob struct {
 	tracker *Tracker
 	table   string // shard routing key: the registered table name
-	numeric []schema.TableQuery
 	named   []ObservedQry
 	ctx     context.Context
 
@@ -162,12 +161,7 @@ func (in *ingester) process(group []*ingestJob) {
 	var events []statestore.Event
 	valid := group[:0:0]
 	for _, job := range group {
-		switch {
-		case job.numeric != nil:
-			job.queries, job.err = job.tracker.validateLocked(job.numeric)
-		default:
-			job.queries, job.err = job.tracker.resolveNamedLocked(job.named)
-		}
+		job.queries, job.err = job.tracker.resolveNamedLocked(job.named)
 		if job.err != nil || len(job.queries) == 0 {
 			continue
 		}

@@ -1,7 +1,7 @@
 package advisor
 
 import (
-	"fmt"
+	"context"
 	"sync"
 	"testing"
 
@@ -64,34 +64,30 @@ func benchObserve(b *testing.B, mode string, batchSize, workers int, reg *teleme
 		b.Fatal(err)
 	}
 
-	// Pre-build one stream's batches: 8 recurring attribute patterns,
-	// weights 1..3.
-	patterns := []attrset.Set{
-		attrset.Of(0, 1), attrset.Of(2, 3), attrset.Of(0), attrset.Of(1),
-		attrset.Of(2), attrset.Of(3), attrset.Of(0, 2), attrset.Of(1, 3),
+	// Pre-build one stream's batches as the column names a client sends:
+	// 8 recurring attribute patterns, weights 1..3.
+	patterns := [][]string{
+		{"a", "b"}, {"c", "d"}, {"a"}, {"b"}, {"c"}, {"d"}, {"a", "c"}, {"b", "d"},
 	}
-	var batches [][]schema.TableQuery
+	var batches [][]TableObservation
 	for done := 0; done < benchStreamLen; {
 		n := batchSize
 		if benchStreamLen-done < n {
 			n = benchStreamLen - done
 		}
-		batch := make([]schema.TableQuery, n)
+		batch := make([]ObservedQry, n)
 		for j := range batch {
 			id := done + j
-			batch[j] = schema.TableQuery{
-				ID:     fmt.Sprintf("o%d", id),
-				Weight: float64(1 + id%3),
-				Attrs:  patterns[id%len(patterns)],
-			}
+			batch[j] = ObservedQry{Attrs: patterns[id%len(patterns)], Weight: float64(1 + id%3)}
 		}
-		batches = append(batches, batch)
+		batches = append(batches, []TableObservation{{Table: "events", Queries: batch}})
 		done += n
 	}
 
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		work := make(chan []schema.TableQuery, len(batches))
+		work := make(chan []TableObservation, len(batches))
 		for _, batch := range batches {
 			work <- batch
 		}
@@ -102,7 +98,11 @@ func benchObserve(b *testing.B, mode string, batchSize, workers int, reg *teleme
 			go func() {
 				defer wg.Done()
 				for batch := range work {
-					if _, err := svc.Observe("events", batch); err != nil {
+					outs, _, err := svc.Observe(ctx, "", batch)
+					if err == nil {
+						err = outs[0].Err
+					}
+					if err != nil {
 						b.Error(err)
 						return
 					}

@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -36,24 +40,59 @@ func trackerLog(t *testing.T, svc *Service, table string) []schema.TableQuery {
 	return append([]schema.TableQuery(nil), tr.log...)
 }
 
-// Weight-0 unification (the bugfix this PR pins): BOTH observation
-// endpoints coerce a zero weight — the JSON default for an omitted field —
-// to 1 during validation, and both reject negative weights. Before the fix
-// the named endpoint coerced and the numeric endpoint silently accepted 0,
-// so the same observation priced differently depending on the entry point.
-func TestObserveWeightZeroUnifiedAcrossEndpoints(t *testing.T) {
-	svc := NewService(Config{DriftWindow: 16})
-	register(t, svc)
-
-	if _, err := svc.Observe("events", []schema.TableQuery{
-		{ID: "z", Weight: 0, Attrs: attrset.Of(0, 1)},
-	}); err != nil {
-		t.Fatalf("numeric observe with weight 0: %v", err)
+// observe feeds numeric attribute bitmasks through the service's one
+// observation entry as a single-entry batch without a batch ID, rendering
+// each bitmask through the registered table's Table.AttrNames — the column
+// names every real client sends. Stale-schema cases need a name the
+// current schema lacks, so they build ObservedQry values themselves.
+func observe(svc *Service, table string, queries []schema.TableQuery) (DriftReport, error) {
+	named := make([]ObservedQry, len(queries))
+	if tr, err := svc.tracker(table); err == nil {
+		tr.mu.Lock()
+		tab := tr.table
+		tr.mu.Unlock()
+		for i, q := range queries {
+			named[i] = ObservedQry{Attrs: tab.AttrNames(q.Attrs), Weight: q.Weight}
+		}
 	}
-	if _, err := svc.ObserveNamed("events", []ObservedQry{
-		{Attrs: []string{"a", "b"}}, // weight omitted = 0 on the wire
-	}); err != nil {
-		t.Fatalf("named observe with weight 0: %v", err)
+	outs, _, err := svc.Observe(context.Background(), "", []TableObservation{{Table: table, Queries: named}})
+	if err != nil {
+		return DriftReport{}, err
+	}
+	return outs[0].Rep, outs[0].Err
+}
+
+// postObserve POSTs a raw /observe body and returns the status and body.
+func postObserve(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url+"/observe", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
+}
+
+// Weight-0 unification: both /observe shapes reach the one validator, which
+// coerces a zero weight — the JSON default for an omitted field — to 1 and
+// rejects negative weights. It once priced differently by entry point: the
+// named path coerced 0 while a numeric path accepted it as-is.
+func TestObserveWeightZeroUnifiedAcrossEndpoints(t *testing.T) {
+	ts, svc, client := newTestServer(t, Config{DriftWindow: 16})
+	adviseEvents(t, client)
+
+	if code, body := postObserve(t, ts.URL,
+		`{"table":"events","queries":[{"attrs":["a","b"]}]}`); code != http.StatusOK {
+		t.Fatalf("single-table observe with weight 0: %d %s", code, body)
+	}
+	if code, body := postObserve(t, ts.URL,
+		`{"batches":[{"table":"events","queries":[{"attrs":["c"],"weight":0}]}]}`); code != http.StatusOK ||
+		!strings.Contains(body, `"status": 200`) {
+		t.Fatalf("batched observe with weight 0: %d %s", code, body)
 	}
 	log := trackerLog(t, svc, "events")
 	if len(log) < 2 {
@@ -65,21 +104,30 @@ func TestObserveWeightZeroUnifiedAcrossEndpoints(t *testing.T) {
 		}
 	}
 
-	if _, err := svc.Observe("events", []schema.TableQuery{
-		{ID: "n", Weight: -1, Attrs: attrset.Of(0)},
-	}); !errors.Is(err, ErrBadObservation) {
-		t.Errorf("numeric observe with weight -1: err=%v, want ErrBadObservation", err)
+	if code, body := postObserve(t, ts.URL,
+		`{"table":"events","queries":[{"attrs":["a"],"weight":-1}]}`); code != http.StatusBadRequest {
+		t.Errorf("single-table observe with weight -1: %d %s, want 400", code, body)
 	}
-	if _, err := svc.ObserveNamed("events", []ObservedQry{
-		{Attrs: []string{"a"}, Weight: -1},
-	}); !errors.Is(err, ErrBadObservation) {
-		t.Errorf("named observe with weight -1: err=%v, want ErrBadObservation", err)
+	if code, body := postObserve(t, ts.URL,
+		`{"batches":[{"table":"events","queries":[{"attrs":["a"],"weight":-1}]}]}`); code != http.StatusOK ||
+		!strings.Contains(body, `"status": 400`) {
+		t.Errorf("batched observe with weight -1: %d %s, want a 400 verdict", code, body)
+	}
+	// A weight past 2^53 would overflow the drift pricing to a non-finite
+	// ratio that no JSON answer carries.
+	if code, body := postObserve(t, ts.URL,
+		`{"table":"events","queries":[{"attrs":["a"],"weight":1e308}]}`); code != http.StatusBadRequest {
+		t.Errorf("single-table observe with weight 1e308: %d %s, want 400", code, body)
+	}
+	if n := len(trackerLog(t, svc, "events")); n != len(log) {
+		t.Errorf("rejected weights grew the log from %d to %d", len(log), n)
 	}
 }
 
-// Empty observation batches short-circuit: the tracker's counters come back
-// unchanged and NOTHING is journaled — the WAL's last sequence number must
-// not move. Before the fix every empty batch appended a no-op EvObserve.
+// Empty observation batches short-circuit on both wire shapes: the
+// tracker's counters come back unchanged and NOTHING is journaled — the
+// WAL's last sequence number must not move. Every empty batch once
+// appended a no-op EvObserve.
 func TestObserveEmptyBatchJournalsNothing(t *testing.T) {
 	dir := t.TempDir()
 	d := durableStore(t, dir, 16)
@@ -88,25 +136,27 @@ func TestObserveEmptyBatchJournalsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	ts := httptest.NewServer(NewServer(svc))
+	defer ts.Close()
 	register(t, svc)
 
-	if _, err := svc.Observe("events", singleColumnBatch()); err != nil {
+	if _, err := observe(svc, "events", singleColumnBatch()); err != nil {
 		t.Fatal(err)
 	}
 	before := d.LastSeq()
-	repN, err := svc.Observe("events", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repM, err := svc.ObserveNamed("events", []ObservedQry{})
-	if err != nil {
-		t.Fatal(err)
+	for _, body := range []string{
+		`{"table":"events"}`,
+		`{"table":"events","queries":[]}`,
+		`{"batches":[{"table":"events","queries":[]}]}`,
+		`{"batch_id":"empty-1","batches":[{"table":"events"},{"table":"events","queries":[]}]}`,
+	} {
+		code, resp := postObserve(t, ts.URL, body)
+		if code != http.StatusOK || !strings.Contains(resp, `"observed": 2`) || strings.Contains(resp, `"error"`) {
+			t.Errorf("empty batch %s: %d %s, want 200 with observed 2 (unchanged)", body, code, resp)
+		}
 	}
 	if got := d.LastSeq(); got != before {
 		t.Errorf("empty batches moved the WAL from seq %d to %d", before, got)
-	}
-	if repN.Observed != 2 || repM.Observed != 2 {
-		t.Errorf("empty-batch reports observed %d/%d, want 2 (unchanged)", repN.Observed, repM.Observed)
 	}
 	st := svc.Stats()
 	if st.ObservedQueries != 2 || st.ObserveBatches != 1 {
@@ -137,7 +187,7 @@ func TestStatsObservationCountersBatchAccurate(t *testing.T) {
 						ID: fmt.Sprintf("w%db%dq%d", w, i, j), Weight: 1, Attrs: attrset.Of(0, 1),
 					}
 				}
-				if _, err := svc.Observe("events", batch); err != nil {
+				if _, err := observe(svc, "events", batch); err != nil {
 					t.Error(err)
 					return
 				}
@@ -171,7 +221,7 @@ func TestIngestBadBatchFailsAlone(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = svc.Observe("events", []schema.TableQuery{
+			_, errs[i] = observe(svc, "events", []schema.TableQuery{
 				{ID: fmt.Sprintf("g%d", i), Weight: 1, Attrs: attrset.Of(0)},
 			})
 		}(i)
@@ -179,10 +229,13 @@ func TestIngestBadBatchFailsAlone(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Attr index 9 is outside the 4-column schema: ErrStaleSchema.
-		_, errs[good] = svc.Observe("events", []schema.TableQuery{
-			{ID: "bad", Weight: 1, Attrs: attrset.Of(9)},
+		// Column "z" is not in the 4-column schema: ErrStaleSchema.
+		outs, _, err := svc.Observe(context.Background(), "", []TableObservation{
+			{Table: "events", Queries: []ObservedQry{{Attrs: []string{"z"}, Weight: 1}}},
 		})
+		if errs[good] = err; err == nil {
+			errs[good] = outs[0].Err
+		}
 	}()
 	wg.Wait()
 	for i := 0; i < good; i++ {
@@ -221,7 +274,7 @@ func TestIngestJournalFailureAppliesNothing(t *testing.T) {
 	defer svc.Close()
 	register(t, svc)
 
-	_, err = svc.Observe("events", singleColumnBatch())
+	_, err = observe(svc, "events", singleColumnBatch())
 	if !errors.Is(err, ErrJournal) {
 		t.Fatalf("observe over failing WAL: err=%v, want ErrJournal", err)
 	}
@@ -233,7 +286,7 @@ func TestIngestJournalFailureAppliesNothing(t *testing.T) {
 	if log := trackerLog(t, svc, "events"); len(log) != 3 {
 		t.Errorf("failed group left %d queries in the tracker log, want the 3 registered", len(log))
 	}
-	if _, err := svc.Observe("events", singleColumnBatch()); err != nil {
+	if _, err := observe(svc, "events", singleColumnBatch()); err != nil {
 		t.Fatalf("retry after journal failure: %v", err)
 	}
 	if got := svc.Stats().ObservedQueries; got != 2 {
@@ -241,17 +294,20 @@ func TestIngestJournalFailureAppliesNothing(t *testing.T) {
 	}
 }
 
-// ObserveBatch applies repeated entries for the SAME table in slice order
+// Observe applies repeated entries for the SAME table in slice order
 // (the wire contract), while entries fail independently.
 func TestObserveBatchSameTableOrderAndIsolation(t *testing.T) {
 	svc := NewService(Config{DriftThreshold: 100, DriftWindow: 64})
 	register(t, svc)
 
-	outs := svc.ObserveBatch(context.Background(), []TableObservation{
+	outs, _, err := svc.Observe(context.Background(), "", []TableObservation{
 		{Table: "events", Queries: []ObservedQry{{Attrs: []string{"a"}}, {Attrs: []string{"b"}}}},
 		{Table: "ghost", Queries: []ObservedQry{{Attrs: []string{"x"}}}},
 		{Table: "events", Queries: []ObservedQry{{Attrs: []string{"c"}}}},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(outs) != 3 {
 		t.Fatalf("%d outcomes for 3 batches", len(outs))
 	}
@@ -300,7 +356,7 @@ func TestObserveConcurrentDuplicateRecompute(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reps[i], errs[i] = svc.Observe("events", batch)
+			reps[i], errs[i] = observe(svc, "events", batch)
 		}(i)
 	}
 	wg.Wait()

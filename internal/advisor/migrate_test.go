@@ -27,7 +27,7 @@ func driftService(t *testing.T) (*Service, *schema.Table, TableAdvice) {
 	}
 	recomputed := false
 	for batch := 0; batch < 8 && !recomputed; batch++ {
-		rep, err := svc.Observe(tab.Name, singleColumnBatch())
+		rep, err := observe(svc, tab.Name, singleColumnBatch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func sameParts(a, b partition.Partitioning) bool {
 // nothing to do.
 func TestMigrateTableClosesDriftLoop(t *testing.T) {
 	svc, tab, stale := driftService(t)
-	fresh, err := svc.CurrentAdvice(tab.Name)
+	fresh, _, err := svc.CurrentState(tab.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestMigrateTableRekeysOnMixChange(t *testing.T) {
 	// windowed log (the mix plans amortize over) genuinely changes. (An
 	// identical-weight batch would trim to a byte-identical window, and an
 	// unchanged mix legitimately stays cached.)
-	rep, err := svc.Observe(tab.Name, []schema.TableQuery{
+	rep, err := observe(svc, tab.Name, []schema.TableQuery{
 		{ID: "s1", Weight: 3, Attrs: attrset.Of(0)},
 		{ID: "s2", Weight: 3, Attrs: attrset.Of(1)},
 	})
@@ -270,7 +270,7 @@ func TestDriftEvictsStaleReplayReports(t *testing.T) {
 
 	recomputed := false
 	for batch := 0; batch < 8 && !recomputed; batch++ {
-		rep, err := svc.Observe(tab.Name, singleColumnBatch())
+		rep, err := observe(svc, tab.Name, singleColumnBatch())
 		if err != nil {
 			t.Fatal(err)
 		}

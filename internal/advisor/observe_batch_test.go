@@ -3,8 +3,13 @@ package advisor
 import (
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"knives/internal/faultinject"
+	"knives/internal/statestore"
+	"knives/internal/vfs"
 )
 
 // adviseEvents registers the events table on a test server.
@@ -59,19 +64,24 @@ func TestServerObserveBatched(t *testing.T) {
 }
 
 // The batched shape excludes the legacy single-table fields, and the legacy
-// shape keeps answering exactly as before.
+// shape keeps answering exactly as before: its failures as the status the
+// same entry earns as a batched verdict, a 503 with a Retry-After hint.
 func TestServerObserveBatchedExcludesLegacyFields(t *testing.T) {
 	ts, _, client := newTestServer(t, Config{DriftThreshold: 100})
 	adviseEvents(t, client)
 
-	body := `{"table":"events","queries":[{"attrs":["a"]}],"batches":[{"table":"events","queries":[{"attrs":["a"]}]}]}`
-	resp, err := ts.Client().Post(ts.URL+"/observe", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("mixed legacy+batched request: status %d, want 400", resp.StatusCode)
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"mixed legacy+batched request",
+			`{"table":"events","queries":[{"attrs":["a"]}],"batches":[{"table":"events","queries":[{"attrs":["a"]}]}]}`,
+			http.StatusBadRequest},
+		{"legacy unknown column", `{"table":"events","queries":[{"attrs":["nope"]}]}`, http.StatusConflict},
+	} {
+		if code, body := postObserve(t, ts.URL, tc.body); code != tc.want || !strings.Contains(body, `"error"`) {
+			t.Errorf("%s: %d %s, want %d with an error body", tc.name, code, body, tc.want)
+		}
 	}
 
 	// Legacy single-table request still answers with the top-level pair.
@@ -87,6 +97,35 @@ func TestServerObserveBatchedExcludesLegacyFields(t *testing.T) {
 	}
 	if or.Advice.Table != "events" {
 		t.Errorf("legacy observe advice: %+v", or.Advice)
+	}
+
+	// A failed group commit: write 1 is the registration's commit, write 2
+	// the first observe group's.
+	base, err := vfs.Dir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := statestore.Open(faultinject.New(base, faultinject.FailNthWrite(2)), statestore.Options{DriftWindow: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := OpenService(Config{DriftThreshold: 100, DriftWindow: 16, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	register(t, svc)
+	ts503 := httptest.NewServer(NewServer(svc))
+	defer ts503.Close()
+	resp, err := http.Post(ts503.URL+"/observe", "application/json",
+		strings.NewReader(`{"table":"events","queries":[{"attrs":["a"]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("legacy observe over a failing WAL: status %d Retry-After %q, want 503 with a hint",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"knives/internal/vfs"
 )
 
-func durableStore(t *testing.T, dir string, window int) *statestore.Durable {
+func durableStore(t testing.TB, dir string, window int) *statestore.Durable {
 	t.Helper()
 	fs, err := vfs.Dir(dir)
 	if err != nil {
@@ -41,7 +41,7 @@ func normalized(states []statestore.TableState) []byte {
 func driveDrift(t *testing.T, svc *Service, table string) {
 	t.Helper()
 	for batch := 0; batch < 8; batch++ {
-		rep, err := svc.Observe(table, singleColumnBatch())
+		rep, err := observe(svc, table, singleColumnBatch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestServiceStateSurvivesRestart(t *testing.T) {
 	if !bytes.Equal(before, normalized(cfg.Store.(*statestore.Durable).Export())) {
 		t.Fatal("live store fold diverged from service state")
 	}
-	adviceBefore, err := svc.CurrentAdvice(tab.Name)
+	adviceBefore, _, err := svc.CurrentState(tab.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestServiceStateSurvivesRestart(t *testing.T) {
 	if len(names) != 2 || names[0] != "events" || names[1] != "metrics" {
 		t.Fatalf("recovered tables = %v", names)
 	}
-	adviceAfter, err := svc2.CurrentAdvice(tab.Name)
+	adviceAfter, _, err := svc2.CurrentState(tab.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestServiceStateSurvivesRestart(t *testing.T) {
 	}
 	// The recovered tracker is live: it observes, prices drift, and keeps
 	// journaling.
-	if _, err := svc2.Observe(tab.Name, singleColumnBatch()); err != nil {
+	if _, err := observe(svc2, tab.Name, singleColumnBatch()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -159,7 +159,7 @@ func TestServiceModelMismatchDroppedOnRecovery(t *testing.T) {
 	if got := ssd.TrackedTables(); len(got) != 0 {
 		t.Fatalf("SSD daemon recovered HDD trackers: %v", got)
 	}
-	if _, err := ssd.Observe("events", singleColumnBatch()); !errors.Is(err, ErrNotRegistered) {
+	if _, err := observe(ssd, "events", singleColumnBatch()); !errors.Is(err, ErrNotRegistered) {
 		t.Fatalf("observe on a dropped tracker = %v, want ErrNotRegistered", err)
 	}
 	if err := ssd.Close(); err != nil {
@@ -201,10 +201,10 @@ func TestServiceJournalFailureKeepsEquivalence(t *testing.T) {
 	if _, _, err := svc.AdviseTable(coAccessWorkload(tab)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Observe(tab.Name, singleColumnBatch()); err != nil {
+	if _, err := observe(svc, tab.Name, singleColumnBatch()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Observe(tab.Name, singleColumnBatch()); !errors.Is(err, faultinject.ErrInjected) {
+	if _, err := observe(svc, tab.Name, singleColumnBatch()); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("observe over a failed journal append = %v, want the injected error", err)
 	}
 	// The failed batch joined neither the journal nor the log.
@@ -212,7 +212,7 @@ func TestServiceJournalFailureKeepsEquivalence(t *testing.T) {
 		t.Fatal("failed append left service and journal disagreeing")
 	}
 	// The retry lands it (the store self-repairs its torn tail first).
-	if _, err := svc.Observe(tab.Name, singleColumnBatch()); err != nil {
+	if _, err := observe(svc, tab.Name, singleColumnBatch()); err != nil {
 		t.Fatal(err)
 	}
 	final := normalized(svc.ExportState())
@@ -256,7 +256,7 @@ func TestServiceCrashMidJournalRecovers(t *testing.T) {
 	}
 	var crashed bool
 	for i := 0; i < 8; i++ {
-		if _, err := svc.Observe(tab.Name, singleColumnBatch()); errors.Is(err, faultinject.ErrCrashed) {
+		if _, err := observe(svc, tab.Name, singleColumnBatch()); errors.Is(err, faultinject.ErrCrashed) {
 			crashed = true
 			break
 		}

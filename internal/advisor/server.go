@@ -415,80 +415,76 @@ func observeStatus(err error) int {
 	}
 }
 
+// handleObserve answers both shapes of POST /observe through the one
+// service entry. The batched shape answers 200 with one verdict per entry,
+// each carrying the status the same failure earns on the single-table
+// shape. The single-table shape is a one-entry batch without a batch ID
+// (it has always ignored batch_id), rendered from its verdict: an error as
+// that status with an error body (plus Retry-After on 503), success as the
+// top-level drift/advice pair. Names resolve inside the tracker lock,
+// against the table's current schema — resolving here against a snapshot
+// would race a concurrent re-registration and silently rebind names to
+// different columns.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req ObserveRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeDecodeError(w, err)
 		return
 	}
-	if len(req.Batches) > 0 {
-		s.observeBatched(w, r, req)
-		return
-	}
-	// Names resolve inside the tracker lock, against the table's current
-	// schema — resolving here against a snapshot would race a concurrent
-	// re-registration and silently rebind names to different columns. All
-	// per-query validation (weights, empty attrs) lives there too, so the
-	// rules have one source of truth.
-	rep, err := s.svc.ObserveNamedContext(r.Context(), req.Table, req.Queries)
-	if err != nil {
-		status := observeStatus(err)
-		if status == http.StatusServiceUnavailable {
-			s.retryHint(w)
-		}
-		writeError(w, status, err)
-		return
-	}
-	current, fp, err := s.svc.CurrentState(req.Table)
-	if err != nil {
-		// The tracker can be evicted between Observe and this read.
-		if errors.Is(err, ErrNotRegistered) {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, ObserveResponse{Drift: rep, Advice: toWire(current, fp, false)})
-}
-
-// observeBatched answers the batched shape of POST /observe: every entry is
-// ingested (entries fail independently), the response is 200 with one
-// verdict per entry carrying the status the same failure would earn on the
-// single-table path.
-func (s *Server) observeBatched(w http.ResponseWriter, r *http.Request, req ObserveRequest) {
-	if req.Table != "" || len(req.Queries) > 0 {
+	single := len(req.Batches) == 0
+	if !single && (req.Table != "" || len(req.Queries) > 0) {
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("advisor: batched observe excludes the single-table fields (table/queries)"))
 		return
 	}
-	outs, dup, err := s.svc.ObserveBatchID(r.Context(), req.BatchID, req.Batches)
+	batchID, batches := req.BatchID, req.Batches
+	if single {
+		batchID, batches = "", []TableObservation{{Table: req.Table, Queries: req.Queries}}
+	}
+	outs, dup, err := s.svc.Observe(r.Context(), batchID, batches)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	verdicts := make([]TableObserveVerdict, len(outs))
 	for i, o := range outs {
-		v := TableObserveVerdict{Table: o.Table, Status: observeStatus(o.Err)}
-		if o.Err != nil {
-			v.Error = o.Err.Error()
-			verdicts[i] = v
-			continue
-		}
-		current, fp, err := s.svc.CurrentState(o.Table)
-		if err != nil {
-			// The tracker can be evicted between the ingest and this read;
-			// the entry WAS applied, so report the read failure, not a 200.
-			v.Status = observeStatus(err)
-			v.Error = err.Error()
-			verdicts[i] = v
-			continue
-		}
-		v.Drift = o.Rep
-		v.Advice = toWire(current, fp, false)
-		verdicts[i] = v
+		verdicts[i] = s.observeVerdict(o)
 	}
-	writeJSON(w, ObserveResponse{Verdicts: verdicts, Duplicate: dup})
+	if !single {
+		writeJSON(w, ObserveResponse{Verdicts: verdicts, Duplicate: dup})
+		return
+	}
+	v := verdicts[0]
+	if v.Status != http.StatusOK {
+		if v.Status == http.StatusServiceUnavailable {
+			s.retryHint(w)
+		}
+		writeError(w, v.Status, errors.New(v.Error))
+		return
+	}
+	writeJSON(w, ObserveResponse{Drift: v.Drift, Advice: v.Advice})
+}
+
+// observeVerdict turns one ingest outcome into its verdict: a successful
+// entry reads the tracker's post-ingest advice, and observeStatus maps any
+// failure. The tracker can be evicted between the ingest and the read; the
+// entry WAS applied, so the read failure is reported, not a 200.
+func (s *Server) observeVerdict(o ObserveOutcome) TableObserveVerdict {
+	v := TableObserveVerdict{Table: o.Table}
+	err := o.Err
+	if err == nil {
+		var current TableAdvice
+		var fp Fingerprint
+		if current, fp, err = s.svc.CurrentState(o.Table); err == nil {
+			v.Drift = o.Rep
+			v.Advice = toWire(current, fp, false)
+		}
+	}
+	v.Status = observeStatus(err)
+	if err != nil {
+		v.Error = err.Error()
+	}
+	return v
 }
 
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {

@@ -545,65 +545,21 @@ func (s *Service) AdviseBenchmark(b *schema.Benchmark) ([]TableAdvice, []bool, e
 	return sortedAdvice, sortedHits, nil
 }
 
-// Observe streams a batch of queries for a registered table into its drift
-// tracker. If the advised layout has drifted past the threshold, the advice
-// is recomputed from the observed log, the tracker updated, and the fresh
-// advice cached under the observed workload's fingerprint.
-func (s *Service) Observe(table string, queries []schema.TableQuery) (DriftReport, error) {
-	return s.ObserveContext(context.Background(), table, queries)
-}
-
-// ObserveContext is Observe under a request context: the deadline covers
-// the shadow search's slot wait and a drift recompute's portfolio fan-out.
-// Weight 0 is coerced to 1 during the tracker's validation — the same
-// convention /advise applies — so both observation endpoints agree.
-// The batch rides the sharded ingest stage: concurrent batches for tables
-// on the same shard coalesce into one group-committed WAL append.
-func (s *Service) ObserveContext(ctx context.Context, table string, queries []schema.TableQuery) (DriftReport, error) {
-	t, err := s.tracker(table)
-	if err != nil {
-		return DriftReport{}, err
-	}
-	// An empty batch changes nothing: answer the tracker's counters
-	// without journaling a no-op event or entering the ingest stage.
-	if len(queries) == 0 {
-		return t.report(), nil
-	}
-	return s.ing.submit(ctx, &ingestJob{tracker: t, table: table, numeric: queries})
-}
-
-// ObserveNamed is Observe for queries carrying column names; resolution
-// happens inside the tracker lock, against the table's current schema.
-func (s *Service) ObserveNamed(table string, named []ObservedQry) (DriftReport, error) {
-	return s.ObserveNamedContext(context.Background(), table, named)
-}
-
-// ObserveNamedContext is ObserveNamed under a request context.
-func (s *Service) ObserveNamedContext(ctx context.Context, table string, named []ObservedQry) (DriftReport, error) {
-	t, err := s.tracker(table)
-	if err != nil {
-		return DriftReport{}, err
-	}
-	if len(named) == 0 {
-		return t.report(), nil
-	}
-	return s.ing.submit(ctx, &ingestJob{tracker: t, table: table, named: named})
-}
-
-// ObserveOutcome is one batch entry's result from ObserveBatch.
+// ObserveOutcome is one batch entry's result from Observe.
 type ObserveOutcome struct {
 	Table string
 	Rep   DriftReport
 	Err   error
 }
 
-// ObserveBatch ingests many tables' observation batches from one request.
-// Entries fail independently — outcome i always answers batches[i].
-// Distinct tables are submitted concurrently, so one request's batches
-// land in the ingest stage together and coalesce into shared group
-// commits; repeated entries for the SAME table are submitted in slice
-// order, preserving that table's apply order.
-func (s *Service) ObserveBatch(ctx context.Context, batches []TableObservation) []ObserveOutcome {
+// ingestBatches ingests many tables' observation batches. Entries fail
+// independently — outcome i always answers batches[i]. Distinct tables are
+// submitted concurrently, so one request's batches land in the ingest stage
+// together and coalesce into shared group commits; repeated entries for the
+// SAME table are submitted in slice order, preserving that table's apply
+// order. An empty entry answers its tracker's counters without journaling a
+// no-op event or entering the ingest stage.
+func (s *Service) ingestBatches(ctx context.Context, batches []TableObservation) []ObserveOutcome {
 	out := make([]ObserveOutcome, len(batches))
 	byTable := make(map[string][]int, len(batches))
 	var tables []string // first-appearance order of distinct tables
@@ -620,7 +576,16 @@ func (s *Service) ObserveBatch(ctx context.Context, batches []TableObservation) 
 		go func(tbl string, idxs []int) {
 			defer wg.Done()
 			for _, i := range idxs {
-				out[i].Rep, out[i].Err = s.ObserveNamedContext(ctx, tbl, batches[i].Queries)
+				t, err := s.tracker(tbl)
+				switch {
+				case err != nil:
+					out[i].Err = err
+				case len(batches[i].Queries) == 0:
+					out[i].Rep = t.report()
+				default:
+					out[i].Rep, out[i].Err = s.ing.submit(ctx,
+						&ingestJob{tracker: t, table: tbl, named: batches[i].Queries})
+				}
 			}
 		}(tbl, byTable[tbl])
 	}
@@ -670,15 +635,6 @@ func (s *Service) afterObserve(rep DriftReport, rec *recomputedAdvice, err error
 		s.execs.DropFunc(func(k execKey) bool { return stale(k.fp) })
 	}
 	return rep, nil
-}
-
-// CurrentAdvice returns the tracked advice for a registered table.
-func (s *Service) CurrentAdvice(table string) (TableAdvice, error) {
-	t, err := s.tracker(table)
-	if err != nil {
-		return TableAdvice{}, err
-	}
-	return t.Advice(), nil
 }
 
 // CurrentState returns the tracked advice for a registered table together

@@ -1,6 +1,8 @@
 package advisor
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -11,7 +13,7 @@ import (
 
 // wideTable builds a table of four equally wide columns: co-access patterns
 // on it translate directly into layout (and drift) decisions.
-func wideTable(t *testing.T) *schema.Table {
+func wideTable(t testing.TB) *schema.Table {
 	t.Helper()
 	tab, err := schema.NewTable("events", 1_000_000, []schema.Column{
 		{Name: "a", Kind: schema.KindChar, Size: 100},
@@ -135,7 +137,7 @@ func TestServiceDriftInvalidatesStaleAdvice(t *testing.T) {
 	var recomputed bool
 	var last DriftReport
 	for batch := 0; batch < 8 && !recomputed; batch++ {
-		last, err = svc.Observe(tab.Name, single)
+		last, err = observe(svc, tab.Name, single)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +150,7 @@ func TestServiceDriftInvalidatesStaleAdvice(t *testing.T) {
 		t.Errorf("stats did not count the recompute: %+v", got)
 	}
 
-	fresh, err := svc.CurrentAdvice(tab.Name)
+	fresh, _, err := svc.CurrentState(tab.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestServiceDriftRecomputeCachesSnapshotWorkload(t *testing.T) {
 	log = append(log, coAccessWorkload(tab).Queries...)
 	recomputed := false
 	for batch := 0; batch < 8 && !recomputed; batch++ {
-		rep, err := svc.Observe(tab.Name, single)
+		rep, err := observe(svc, tab.Name, single)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +205,7 @@ func TestServiceDriftRecomputeCachesSnapshotWorkload(t *testing.T) {
 	if got := svc.Stats().Searches; got != searchesBefore {
 		t.Errorf("cache hit ran a search (%d -> %d)", searchesBefore, got)
 	}
-	current, err := svc.CurrentAdvice(tab.Name)
+	current, _, err := svc.CurrentState(tab.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,10 +326,10 @@ func TestServiceTrackerCapacityEvicts(t *testing.T) {
 	if got := svc.Stats().Tracked; got > 2 {
 		t.Errorf("%d trackers live, capacity 2", got)
 	}
-	if _, err := svc.CurrentAdvice("t1"); err == nil {
+	if _, _, err := svc.CurrentState("t1"); err == nil {
 		t.Error("evicted tracker still answers")
 	}
-	if _, err := svc.CurrentAdvice("t3"); err != nil {
+	if _, _, err := svc.CurrentState("t3"); err != nil {
 		t.Errorf("newest tracker evicted: %v", err)
 	}
 	// Re-advising the evicted table re-registers it even though the advice
@@ -340,7 +342,7 @@ func TestServiceTrackerCapacityEvicts(t *testing.T) {
 	} else if !hit {
 		t.Error("re-advised workload missed the advice cache")
 	}
-	if _, err := svc.CurrentAdvice("t1"); err != nil {
+	if _, _, err := svc.CurrentState("t1"); err != nil {
 		t.Errorf("re-advised table still unregistered: %v", err)
 	}
 }
@@ -357,14 +359,14 @@ func TestServiceReadviseSameWorkloadPreservesObservations(t *testing.T) {
 	}
 	batch := []schema.TableQuery{{ID: "o", Weight: 1, Attrs: attrset.Of(0, 1)}}
 	for i := 0; i < 3; i++ {
-		if _, err := svc.Observe(tab.Name, batch); err != nil {
+		if _, err := observe(svc, tab.Name, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, _, err := svc.AdviseTable(tw); err != nil { // identical workload
 		t.Fatal(err)
 	}
-	rep, err := svc.Observe(tab.Name, batch)
+	rep, err := observe(svc, tab.Name, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +380,7 @@ func TestServiceReadviseSameWorkloadPreservesObservations(t *testing.T) {
 	if _, _, err := svc.AdviseTable(other); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = svc.Observe(tab.Name, batch)
+	rep, err = observe(svc, tab.Name, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,11 +391,11 @@ func TestServiceReadviseSameWorkloadPreservesObservations(t *testing.T) {
 
 func TestServiceObserveUnknownTable(t *testing.T) {
 	svc := NewService(Config{})
-	if _, err := svc.Observe("ghost", nil); err == nil {
+	if _, err := observe(svc, "ghost", nil); err == nil {
 		t.Error("Observe accepted an unregistered table")
 	}
-	if _, err := svc.CurrentAdvice("ghost"); err == nil {
-		t.Error("CurrentAdvice accepted an unregistered table")
+	if _, _, err := svc.CurrentState("ghost"); err == nil {
+		t.Error("CurrentState accepted an unregistered table")
 	}
 }
 
@@ -417,15 +419,19 @@ func TestServiceObserveRejectsAttrsOutsideCurrentSchema(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	// Attr 3 existed in the 4-column registration but not in the current
-	// 2-column schema.
-	if _, err := svc.Observe("events", []schema.TableQuery{
-		{ID: "stale", Weight: 1, Attrs: attrset.Of(3)},
-	}); err == nil {
-		t.Error("Observe accepted attrs outside the re-registered schema")
+	// Column "d" existed in the 4-column registration but not in the
+	// current 2-column schema.
+	outs, _, err := svc.Observe(context.Background(), "", []TableObservation{
+		{Table: "events", Queries: []ObservedQry{{Attrs: []string{"d"}, Weight: 1}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(outs[0].Err, ErrStaleSchema) {
+		t.Errorf("observing a column outside the re-registered schema: err=%v, want ErrStaleSchema", outs[0].Err)
 	}
 	// In-range observations still flow.
-	if _, err := svc.Observe("events", []schema.TableQuery{
+	if _, err := observe(svc, "events", []schema.TableQuery{
 		{ID: "ok", Weight: 1, Attrs: attrset.Of(0)},
 	}); err != nil {
 		t.Fatal(err)

@@ -65,7 +65,7 @@ func replayVerdicts(t *testing.T, mode string) []string {
 	register(t, svc)
 	var lines []string
 	for i, batch := range equivStream() {
-		rep, err := svc.Observe("events", batch)
+		rep, err := observe(svc, "events", batch)
 		if err != nil {
 			t.Fatalf("%s mode, batch %d: %v", mode, i, err)
 		}

@@ -396,8 +396,8 @@ type TableObservation struct {
 
 // ObservedQry is one observed query: referenced column names and weight.
 // A weight of 0 — the JSON default for an omitted field — is coerced to 1,
-// the same convention /advise applies to workload queries; negative or NaN
-// weights are rejected.
+// the same convention /advise applies to workload queries; negative, NaN
+// and weights above 2^53 are rejected.
 type ObservedQry struct {
 	Attrs  []string `json:"attrs"`
 	Weight float64  `json:"weight,omitempty"`

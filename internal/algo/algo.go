@@ -3,6 +3,7 @@
 package algo
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -30,6 +31,12 @@ type Result struct {
 	Cost         float64 // estimated workload cost of the final layout
 	Stats        Stats
 }
+
+// ErrInputTooLarge reports a workload wider than an algorithm's enumeration
+// cap (Trojan's referenced attributes, BruteForce's atoms). It is a limit
+// of the exhaustive search, not a fault of the input: a portfolio treats
+// the member as abstaining and picks among the others.
+var ErrInputTooLarge = errors.New("input too large")
 
 // Algorithm computes a vertical partitioning of one table for a workload
 // under a cost model. Implementations must be deterministic and safe for

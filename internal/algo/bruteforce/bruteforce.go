@@ -34,8 +34,9 @@ type BruteForce struct {
 	// Raw switches to raw-attribute enumeration.
 	Raw bool
 	// MaxAtoms caps the number of enumeration atoms (fragments or raw
-	// attributes). Partition returns an error beyond the cap, because the
-	// Bell-number blow-up would not terminate in reasonable time.
+	// attributes). Partition fails with algo.ErrInputTooLarge beyond the
+	// cap, because the Bell-number blow-up would not terminate in
+	// reasonable time.
 	// Zero means the default of 13 (Bell(13) ≈ 2.8e7).
 	MaxAtoms int
 	// Workers bounds the worker pool of the sharded candidate walk.
@@ -85,8 +86,8 @@ func (b *BruteForce) Partition(tw schema.TableWorkload, model cost.Model) (algo.
 	}
 	if len(atoms) > maxAtoms {
 		return algo.Result{}, fmt.Errorf(
-			"bruteforce: table %s needs %d atoms, cap is %d (Bell(%d) = %v candidates)",
-			tw.Table.Name, len(atoms), maxAtoms, len(atoms), partition.Bell(len(atoms)))
+			"bruteforce: table %s needs %d atoms, cap is %d (Bell(%d) = %v candidates): %w",
+			tw.Table.Name, len(atoms), maxAtoms, len(atoms), partition.Bell(len(atoms)), algo.ErrInputTooLarge)
 	}
 	if len(atoms) == 0 {
 		// Nothing referenced: any layout costs zero; report the fixed parts

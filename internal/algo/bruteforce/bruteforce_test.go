@@ -1,9 +1,11 @@
 package bruteforce
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"knives/internal/algo"
 	"knives/internal/attrset"
 	"knives/internal/cost"
 	"knives/internal/partition"
@@ -145,12 +147,12 @@ func TestAtomCapError(t *testing.T) {
 		tw.Queries = append(tw.Queries, schema.TableQuery{ID: "q", Weight: 1, Attrs: attrset.Single(i)})
 	}
 	bf := &BruteForce{MaxAtoms: 8}
-	if _, err := bf.Partition(tw, model()); err == nil {
-		t.Error("accepted 12 atoms with cap 8")
+	if _, err := bf.Partition(tw, model()); !errors.Is(err, algo.ErrInputTooLarge) {
+		t.Errorf("12 atoms with cap 8: err=%v, want algo.ErrInputTooLarge", err)
 	}
 	// Raw mode over 12 attrs with cap 8 must also refuse.
-	if _, err := (&BruteForce{Raw: true, MaxAtoms: 8}).Partition(tw, model()); err == nil {
-		t.Error("raw mode accepted 12 attrs with cap 8")
+	if _, err := (&BruteForce{Raw: true, MaxAtoms: 8}).Partition(tw, model()); !errors.Is(err, algo.ErrInputTooLarge) {
+		t.Errorf("raw mode, 12 attrs with cap 8: err=%v, want algo.ErrInputTooLarge", err)
 	}
 }
 

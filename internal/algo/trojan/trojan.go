@@ -38,8 +38,9 @@ type Trojan struct {
 	// Threshold is the minimum interestingness for a multi-attribute column
 	// group to survive pruning, in [0, 1]. Zero means the default of 0.7.
 	Threshold float64
-	// MaxReferencedAttrs caps the enumeration width (2^r column groups).
-	// Zero means the default of 20.
+	// MaxReferencedAttrs caps the enumeration width (2^r column groups);
+	// Partition fails with algo.ErrInputTooLarge beyond it. Zero means the
+	// default of 20.
 	MaxReferencedAttrs int
 }
 
@@ -66,8 +67,8 @@ func (tr *Trojan) Partition(tw schema.TableWorkload, model cost.Model) (algo.Res
 	referenced := tw.ReferencedAttrs().Attrs()
 	r := len(referenced)
 	if r > maxRef {
-		return algo.Result{}, fmt.Errorf("trojan: table %s has %d referenced attrs, cap is %d",
-			tw.Table.Name, r, maxRef)
+		return algo.Result{}, fmt.Errorf("trojan: table %s has %d referenced attrs, cap is %d: %w",
+			tw.Table.Name, r, maxRef, algo.ErrInputTooLarge)
 	}
 	// Unreferenced attributes form one partition aside, as in the other
 	// algorithms' layouts for TPC-H (paper, Appendix B).

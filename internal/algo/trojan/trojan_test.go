@@ -1,8 +1,10 @@
 package trojan
 
 import (
+	"errors"
 	"testing"
 
+	"knives/internal/algo"
 	"knives/internal/attrset"
 	"knives/internal/cost"
 	"knives/internal/schema"
@@ -129,8 +131,8 @@ func TestReferencedAttrCap(t *testing.T) {
 		{ID: "q", Weight: 1, Attrs: tab.AllAttrs()},
 	}}
 	tr := &Trojan{MaxReferencedAttrs: 20}
-	if _, err := tr.Partition(tw, model()); err == nil {
-		t.Error("accepted 25 referenced attrs with cap 20")
+	if _, err := tr.Partition(tw, model()); !errors.Is(err, algo.ErrInputTooLarge) {
+		t.Errorf("25 referenced attrs with cap 20: err=%v, want algo.ErrInputTooLarge", err)
 	}
 }
 
